@@ -5,17 +5,15 @@ solver with per-step EQUIP energy tuning, Hamiltonian benchmark problems, and
 the fixed-step / adaptive-step experiment campaigns behind the `geork` CLI.
 """
 
-from .quadrature import LegendreBasis, QuadratureRule, gauss_rule, legendre_eval, vandermonde
+from .quadrature import QuadratureRule, gauss_rule, legendre_eval, vandermonde
 from .tableau import (
     ButcherTableau,
-    CoreMatrix,
     MethodSpec,
-    build_X,
-    build_Xhat,
     build_equip_tableau,
     build_gauss,
     build_hbvm,
     build_tableau,
+    core_matrix,
     format_tableau,
     symplecticity_residual,
     tableau_csv,
@@ -40,7 +38,6 @@ from .integrator import (
     SolverConfig,
     StepRecord,
     equip_step,
-    error_estimate,
     integrate_adaptive,
     integrate_fixed,
     rk_step,
@@ -53,8 +50,7 @@ from .experiments import (
     drift_study,
     fit_order,
     pinned_constant,
-    write_csv,
 )
-from .cli import format_method, parse_method
+from .cli import parse_method
 
 __version__ = "0.1.0"

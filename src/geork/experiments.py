@@ -19,7 +19,6 @@ from .dynamics import HamiltonianSystem, kepler_reference, kepler_system
 from .integrator import (
     IntegrationError,
     SolverConfig,
-    StepRecord,
     integrate_adaptive,
     integrate_fixed,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "fit_order",
     "pinned_constant",
     "floor_flags",
-    "write_csv",
     "write_step_csv",
     "write_convergence_csv",
     "write_drift_csv",
@@ -315,21 +313,6 @@ def write_drift_csv(reports, path) -> None:
         for rep in reports:
             fh.write(f"# verdict: {rep.method}/{rep.invariant}={rep.verdict} "
                      f"slope={_fmt(rep.drift_slope)}\n")
-
-
-def write_csv(obj, path, sys: HamiltonianSystem | None = None, y0=None) -> None:
-    """Dispatch on payload type: step records, convergence results, drift reports."""
-    items = list(obj)
-    if items and isinstance(items[0], ConvergenceResult):
-        write_convergence_csv(items, path)
-    elif items and isinstance(items[0], DriftReport):
-        write_drift_csv(items, path)
-    elif not items or isinstance(items[0], StepRecord):
-        if sys is None or y0 is None:
-            raise ValueError("step CSV needs the system and initial state")
-        write_step_csv(items, path, sys, y0)
-    else:
-        raise TypeError(f"cannot write {type(items[0]).__name__} rows as CSV")
 
 
 def _series_condition(method: MethodSpec, extra: str) -> str:

@@ -1,10 +1,10 @@
 """Implicit Runge-Kutta engine: stage solves, EQUIP alpha tuning, drivers.
 
 The stage systems Y_i = y + h sum_j a_ij f(Y_j) are solved by fixed-point
-iteration by default (preserves the tableau exactly and is contractive at the
-benchmark stepsizes) with a simplified-Newton fallback for large h * stiffness
-products.  EQUIP steps wrap the stage solve in a scalar secant iteration that
-tunes the tableau parameter alpha until the step conserves the energy.
+iteration, which preserves the tableau exactly and is contractive at the
+benchmark stepsizes.  EQUIP steps wrap the stage solve in a scalar secant
+iteration that tunes the tableau parameter alpha until the step conserves the
+energy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "rk_step",
     "equip_step",
     "integrate_fixed",
-    "error_estimate",
     "integrate_adaptive",
     "propose_factor",
     "initial_stepsize",
@@ -66,7 +65,6 @@ class SolverConfig:
 
     stage_tol: float = 1e-13
     max_stage_iters: int = 100
-    strategy: str = "fixed_point"
     alpha_tol: float = 1e-13
     max_alpha_iters: int = 25
 
@@ -75,8 +73,6 @@ class SolverConfig:
             raise ValueError("tolerances must be strictly positive")
         if self.max_stage_iters < 1 or self.max_alpha_iters < 1:
             raise ValueError("iteration budgets must be >= 1")
-        if self.strategy not in ("fixed_point", "simplified_newton"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +100,20 @@ def _stage_field(sys: HamiltonianSystem, Y: np.ndarray) -> np.ndarray:
         raise Divergence(f"vector field domain error: {exc}") from exc
 
 
-def _solve_fixed_point(tab, sys, y, h, cfg):
-    n = tab.n_stages
+def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
+                 h: float, cfg: SolverConfig):
+    """Solve the implicit stage system by fixed-point iteration.
+
+    Returns (stages, iterations).  Stages come back as an (n_stages, dim)
+    array whose rows satisfy the stage equations to within
+    stage_tol * (1 + |y|_inf).  Negative h is legal (it runs the method
+    backwards, used by the reversibility checks).
+    """
+    if not np.isfinite(h):
+        raise ValueError("stepsize must be finite")
     tol = cfg.stage_tol * (1.0 + np.max(np.abs(y)))
     hA = h * tab.A
-    Y = np.tile(y, (n, 1))
+    Y = np.tile(y, (tab.n_stages, 1))
     F = _stage_field(sys, Y)
     for it in range(1, cfg.max_stage_iters + 1):
         Z = y[None, :] + hA @ F
@@ -122,60 +127,6 @@ def _solve_fixed_point(tab, sys, y, h, cfg):
     raise NonConvergence(
         f"stage residual {res:.3e} > {tol:.3e} after {cfg.max_stage_iters} iterations (h={h})"
     )
-
-
-def _field_jacobian(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
-    """J * Hessian(H) at y, with the Hessian from central differences."""
-    d = y.size
-    m = sys.half_dim
-    hess = np.empty((d, d))
-    for i in range(d):
-        step = 6e-6 * (1.0 + abs(y[i]))
-        e = np.zeros(d)
-        e[i] = step
-        hess[:, i] = (sys.gradient(y + e) - sys.gradient(y - e)) / (2.0 * step)
-    hess = 0.5 * (hess + hess.T)
-    return np.vstack([hess[m:], -hess[:m]])
-
-
-def _solve_simplified_newton(tab, sys, y, h, cfg):
-    n = tab.n_stages
-    d = y.size
-    tol = cfg.stage_tol * (1.0 + np.max(np.abs(y)))
-    try:
-        J = _field_jacobian(sys, y)
-    except DomainError as exc:
-        raise Divergence(f"jacobian evaluation left the domain: {exc}") from exc
-    M = np.eye(n * d) - h * np.kron(tab.A, J)
-    hA = h * tab.A
-    Y = np.tile(y, (n, 1))
-    for it in range(1, cfg.max_stage_iters + 1):
-        F = _stage_field(sys, Y)
-        R = Y - (y[None, :] + hA @ F)
-        res = np.max(np.abs(R))
-        if res <= tol:
-            return Y, it
-        Y = Y + np.linalg.solve(M, -R.ravel()).reshape(n, d)
-        if not np.all(np.isfinite(Y)) or np.max(np.abs(Y)) > _DIVERGENCE_LIMIT:
-            raise Divergence(f"stage iterates diverged at h={h}")
-    raise NonConvergence(
-        f"stage residual {res:.3e} > {tol:.3e} after {cfg.max_stage_iters} iterations (h={h})"
-    )
-
-
-def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
-                 h: float, cfg: SolverConfig):
-    """Solve the implicit stage system; returns (stages, iterations).
-
-    Stages come back as an (n_stages, dim) array whose rows satisfy the stage
-    equations to within stage_tol * (1 + |y|_inf).  Negative h is legal (it
-    runs the method backwards, used by the reversibility checks).
-    """
-    if not np.isfinite(h):
-        raise ValueError("stepsize must be finite")
-    if cfg.strategy == "simplified_newton":
-        return _solve_simplified_newton(tab, sys, y, h, cfg)
-    return _solve_fixed_point(tab, sys, y, h, cfg)
 
 
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
@@ -310,17 +261,6 @@ def _attempt_step(method, tab, sys, y, h, cfg, t, alpha_prev):
         flagged=full.flagged or half1.flagged or half2.flagged,
     )
     return half2.state.y, err, info
-
-
-def error_estimate(method: MethodSpec, sys: HamiltonianSystem, y: np.ndarray,
-                   h: float, cfg: SolverConfig, t: float = 0.0,
-                   alpha_prev: float = 0.0):
-    """Return (y_next, err_est) from one h-step against two h/2-steps."""
-    y_next, err, _ = _attempt_step(
-        method, None if method.kind == "equip" else build_tableau(method),
-        sys, np.asarray(y, dtype=float), h, cfg, t, alpha_prev,
-    )
-    return y_next, err
 
 
 def propose_factor(err_est: float, tol: float, p: int) -> float:

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "MAX_NODES",
     "QuadratureRule",
-    "LegendreBasis",
     "gauss_rule",
     "legendre_eval",
     "vandermonde",
@@ -75,22 +74,6 @@ class QuadratureRule:
     def integrate(self, f: Callable) -> float:
         """Apply the rule to a function defined on [0, 1]."""
         return float(np.dot(self.weights, f(self.nodes)))
-
-
-@dataclass(frozen=True)
-class LegendreBasis:
-    """Finite slice of the orthonormal basis, indices 1..max_degree."""
-
-    max_degree: int
-
-    def __post_init__(self):
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be positive")
-
-    def eval(self, j: int, tau):
-        if not 1 <= j <= self.max_degree:
-            raise ValueError(f"basis index {j} outside 1..{self.max_degree}")
-        return legendre_eval(j, tau)
 
 
 def gauss_rule(n: int) -> QuadratureRule:

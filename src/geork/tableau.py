@@ -1,16 +1,20 @@
 """Butcher tableaus for the Gauss, HBVM and EQUIP families.
 
-All three families share the same skeleton: a small core matrix expressed in
-the shifted orthonormal Legendre basis, conjugated back to the stage basis
-through Vandermonde-type matrices built on Gauss-Legendre nodes.
+All three families come from one formula on n Gauss-Legendre nodes:
 
-* Gauss / EQUIP:  A = P X_s(alpha) P^{-1}  on s nodes (alpha = 0 is Gauss).
-* HBVM(k, s):     A = W1 Xhat_s W0^T Omega on k >= s nodes, where W1 has
-  s + 1 basis columns, W0 the first s, and Omega = diag(weights).
+    A = W Xhat_s(alpha) W_s^T Omega,
+
+where W holds the first s + 1 shifted orthonormal Legendre polynomials at the
+nodes, W_s its first s columns, Omega = diag(weights) and Xhat_s(alpha) is
+the (s+1) x s core matrix in the Legendre basis.  Gauss(s) is n = s with
+alpha = 0, EQUIP(s) is n = s with alpha, HBVM(k, s) is n = k with alpha = 0.
+At n = s the last column of W is the degree-s polynomial, which vanishes at
+the nodes, so only the top s x s block X_s(alpha) of the core contributes.
 
 The off-diagonal coefficients xi_j = 1/(2 sqrt(4 j^2 - 1)) couple neighbouring
-basis modes; the EQUIP parameter alpha perturbs only the outermost pair, which
-keeps the algebraic symplecticity condition intact for every alpha.
+basis modes; the EQUIP parameter alpha perturbs only the outermost pair of
+the top block, which keeps the algebraic symplecticity condition intact for
+every alpha.
 """
 
 from __future__ import annotations
@@ -23,12 +27,10 @@ import numpy as np
 from .quadrature import gauss_rule, vandermonde
 
 __all__ = [
-    "CoreMatrix",
     "MethodSpec",
     "ButcherTableau",
     "xi",
-    "build_X",
-    "build_Xhat",
+    "core_matrix",
     "build_gauss",
     "build_equip_tableau",
     "build_hbvm",
@@ -37,10 +39,6 @@ __all__ = [
     "format_tableau",
     "tableau_csv",
 ]
-
-# conjugating an s x s basis change should never be anywhere near singular;
-# exceeding this signals an internal bug, not a user error
-_COND_LIMIT = 1e12
 
 KINDS = ("gauss", "hbvm", "equip")
 
@@ -52,18 +50,25 @@ def xi(j: int) -> float:
     return 1.0 / (2.0 * np.sqrt(4.0 * j * j - 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class CoreMatrix:
-    """Core matrix in the Legendre basis: s x s for X_s(alpha), (s+1) x s for Xhat_s."""
+def core_matrix(s: int, alpha: float = 0.0) -> np.ndarray:
+    """Read-only (s+1) x s core matrix Xhat_s(alpha) in the Legendre basis.
 
-    s: int
-    alpha: float
-    entries: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-        self.xi.setflags(write=False)
+    Entry (1,1) is 1/2 and mode j couples to mode j + 1 through -xi_j above
+    and +xi_j below the diagonal; row s + 1 carries only xi_s.  alpha is
+    added to the outermost pair of the top s x s block, so for s = 1 (no such
+    pair) it is ignored.
+    """
+    if s < 1:
+        raise ValueError(f"s must be positive, got {s}")
+    X = np.zeros((s + 1, s))
+    X[0, 0] = 0.5
+    for j in range(1, s + 1):
+        off = xi(j) + (alpha if j == s - 1 else 0.0)
+        X[j, j - 1] = off
+        if j < s:
+            X[j - 1, j] = -off
+    X.setflags(write=False)
+    return X
 
 
 @dataclass(frozen=True)
@@ -122,97 +127,33 @@ class ButcherTableau:
         self.c.setflags(write=False)
 
 
-def build_X(s: int, alpha: float) -> CoreMatrix:
-    """Tridiagonal core matrix X_s(alpha).
-
-    Entry (1,1) is 1/2, the sub/superdiagonal carries +-xi_1 .. +-xi_{s-1}
-    and alpha is added to the outermost pair.  For s = 1 there is no
-    off-diagonal slot and alpha is forced to 0.
-    """
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
-    if s == 1:
+def build_tableau(spec: MethodSpec, alpha: float = 0.0) -> ButcherTableau:
+    """Construct the tableau a MethodSpec describes (alpha applies to equip only)."""
+    s = spec.s
+    if spec.kind != "equip" or s == 1:
         alpha = 0.0
-    xis = np.array([xi(j) for j in range(1, s)])
-    X = np.zeros((s, s))
-    X[0, 0] = 0.5
-    for j in range(s - 1):
-        off = xis[j] + (alpha if j == s - 2 else 0.0)
-        X[j, j + 1] = -off
-        X[j + 1, j] = off
-    return CoreMatrix(s=s, alpha=float(alpha), entries=X, xi=xis)
-
-
-def build_Xhat(s: int) -> CoreMatrix:
-    """Extended core matrix Xhat_s: X_s(0) plus a bottom row carrying xi_s."""
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
-    top = build_X(s, 0.0)
-    Xhat = np.zeros((s + 1, s))
-    Xhat[:s] = top.entries
-    Xhat[s, s - 1] = xi(s)
-    return CoreMatrix(s=s, alpha=0.0, entries=Xhat, xi=np.append(top.xi, xi(s)))
-
-
-def _conjugate(P: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A = P X P^{-1} computed as a linear solve against P (never an inverse)."""
-    cond = np.linalg.cond(P)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise RuntimeError(
-            f"basis change matrix is ill-conditioned (cond ~ {cond:.2e}); "
-            "this indicates an internal bug"
-        )
-    return np.linalg.solve(P.T, (P @ X).T).T
-
-
-def build_equip_tableau(s: int, alpha: float) -> ButcherTableau:
-    """EQUIP tableau on s Gauss nodes; alpha = 0 reduces to the Gauss method."""
-    rule = gauss_rule(s)
-    P = vandermonde(rule, s)
-    core = build_X(s, alpha)
-    A = _conjugate(P, core.entries)
+    rule = gauss_rule(spec.n_stages)
+    W = vandermonde(rule, s + 1)
+    A = (W @ core_matrix(s, alpha) @ W[:, :s].T) * rule.weights
     return ButcherTableau(
-        n_stages=s, A=A, b=rule.weights.copy(), c=rule.nodes.copy(),
-        order=2 * s, spec=MethodSpec(kind="equip", s=s), alpha=core.alpha,
+        n_stages=spec.n_stages, A=A, b=rule.weights, c=rule.nodes,
+        order=spec.order, spec=spec, alpha=float(alpha),
     )
 
 
 def build_gauss(s: int) -> ButcherTableau:
     """s-stage Gauss-Legendre collocation tableau, order 2s."""
-    t = build_equip_tableau(s, 0.0)
-    return ButcherTableau(
-        n_stages=s, A=t.A.copy(), b=t.b.copy(), c=t.c.copy(),
-        order=2 * s, spec=MethodSpec(kind="gauss", s=s),
-    )
+    return build_tableau(MethodSpec("gauss", s))
 
 
 def build_hbvm(k: int, s: int) -> ButcherTableau:
-    """HBVM(k, s) tableau on k Gauss nodes, order 2s.
-
-    The right-hand basis factor is truncated to the first s columns so the
-    product composes; at k = s this reduces elementwise to the Gauss tableau.
-    """
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
-    if k < s:
-        raise ValueError(f"hbvm requires k >= s, got k={k}, s={s}")
-    rule = gauss_rule(k)
-    W1 = vandermonde(rule, s + 1)
-    W0 = vandermonde(rule, s)
-    A = (W1 @ build_Xhat(s).entries @ W0.T) * rule.weights[None, :]
-    return ButcherTableau(
-        n_stages=k, A=A, b=rule.weights.copy(), c=rule.nodes.copy(),
-        order=2 * s, spec=MethodSpec(kind="hbvm", s=s, k=k),
-    )
+    """HBVM(k, s) tableau on k Gauss nodes, order 2s; HBVM(s, s) is Gauss(s)."""
+    return build_tableau(MethodSpec("hbvm", s, k))
 
 
-def build_tableau(spec: MethodSpec, alpha: float = 0.0) -> ButcherTableau:
-    """Construct the tableau a MethodSpec describes (alpha applies to equip only)."""
-    if spec.kind == "gauss":
-        return build_gauss(spec.s)
-    if spec.kind == "hbvm":
-        return build_hbvm(spec.k, spec.s)
-    return build_equip_tableau(spec.s, alpha)
+def build_equip_tableau(s: int, alpha: float) -> ButcherTableau:
+    """EQUIP tableau on s Gauss nodes; alpha = 0 reduces to the Gauss method."""
+    return build_tableau(MethodSpec("equip", s), alpha)
 
 
 def symplecticity_residual(t: ButcherTableau) -> float:

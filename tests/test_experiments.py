@@ -16,7 +16,6 @@ from geork.experiments import (
     run_adaptive_periods,
     write_convergence_csv,
     write_convergence_plot,
-    write_csv,
     write_drift_csv,
     write_drift_plot,
     write_step_csv,
@@ -208,7 +207,7 @@ def test_drift_study_smoke():
 def test_step_csv_empty_is_header_only(tmp_path):
     sys, state0 = kepler_system(0.6)
     path = tmp_path / "steps.csv"
-    write_csv([], path, sys=sys, y0=state0.y)
+    write_step_csv([], path, sys, state0.y)
     assert path.read_text() == "t,q1,q2,p1,p2,h,alpha,stage_iters,err_H,err_L\n"
 
 
@@ -216,7 +215,7 @@ def test_step_csv_one_record(tmp_path, cfg):
     sys, state0 = kepler_system(0.6)
     recs = integrate_fixed(GAUSS3, sys, state0.y, 0.1, 1, cfg)
     path = tmp_path / "steps.csv"
-    write_csv(recs, path, sys=sys, y0=state0.y)
+    write_step_csv(recs, path, sys, state0.y)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert len(lines[1].split(",")) == 10
@@ -244,12 +243,12 @@ def test_csv_dispatch_and_reproducibility(tmp_path, small_study, mild_drift_run)
     sys, state0, per = mild_drift_run
     reports = drift_reports(GAUSS3, per, sys, state0.y, tol=1e-8)
     conv_a, conv_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(small_study, conv_a)
-    write_csv(small_study, conv_b)
+    write_convergence_csv(small_study, conv_a)
+    write_convergence_csv(small_study, conv_b)
     assert conv_a.read_bytes() == conv_b.read_bytes()
     drift_a, drift_b = tmp_path / "da.csv", tmp_path / "db.csv"
-    write_csv(reports, drift_a)
-    write_csv(reports, drift_b)
+    write_drift_csv(reports, drift_a)
+    write_drift_csv(reports, drift_b)
     assert drift_a.read_bytes() == drift_b.read_bytes()
 
 
@@ -293,13 +292,6 @@ def test_plot_scripts_reference_csv(tmp_path, small_study, mild_drift_run):
     text = drift_gp.read_text()
     assert "logscale" not in text  # drift axes are linear
     assert "'drift.csv'" in text
-
-
-def test_write_csv_rejects_unknown_payload(tmp_path):
-    with pytest.raises(TypeError):
-        write_csv([object()], tmp_path / "x.csv")
-    with pytest.raises(ValueError):
-        write_csv([], tmp_path / "x.csv")  # step CSV needs system context
 
 
 def test_thread_env_does_not_change_results(tmp_path, small_study, monkeypatch):

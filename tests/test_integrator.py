@@ -7,8 +7,8 @@ from geork.integrator import (
     MinStepReached,
     NonConvergence,
     SolverConfig,
+    _attempt_step,
     equip_step,
-    error_estimate,
     initial_stepsize,
     integrate_adaptive,
     integrate_fixed,
@@ -16,7 +16,7 @@ from geork.integrator import (
     rk_step,
     solve_stages,
 )
-from geork.tableau import MethodSpec, build_gauss, build_hbvm
+from geork.tableau import MethodSpec, build_gauss, build_hbvm, build_tableau
 
 T = 2 * np.pi
 
@@ -27,6 +27,12 @@ EQUIP3 = MethodSpec("equip", 3)
 def stage_residual(tab, sys, y, h, Y):
     F = canonical_field(sys, Y)
     return float(np.max(np.abs(Y - (y + h * tab.A @ F))))
+
+
+def step_doubling_error(method, sys, y, h, cfg):
+    """The controller's error estimate for one attempt of size h from y."""
+    _, err, _ = _attempt_step(method, build_tableau(method), sys, y, h, cfg, 0.0, 0.0)
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +79,6 @@ def test_stage_residual_contract(tab_builder, h, cfg):
     assert stage_residual(tab, sys, y, h, Y) <= limit
 
 
-def test_simplified_newton_agrees_with_fixed_point(cfg):
-    sys, state0 = kepler_system(0.6)
-    tab = build_gauss(3)
-    newton = SolverConfig(strategy="simplified_newton")
-    Yf, _ = solve_stages(tab, sys, state0.y, T / 100, cfg)
-    Yn, iters = solve_stages(tab, sys, state0.y, T / 100, newton)
-    np.testing.assert_allclose(Yn, Yf, atol=1e-11)
-    assert stage_residual(tab, sys, state0.y, T / 100, Yn) <= 1e-13 * 3
-
-
 def test_nonconvergence_signalled(cfg):
     sys, state0 = kepler_system(0.6)
     starved = SolverConfig(max_stage_iters=2)
@@ -95,8 +91,6 @@ def test_solver_config_validation():
         SolverConfig(stage_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_alpha_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(strategy="chord")
 
 
 # ---------------------------------------------------------------------------
@@ -242,27 +236,26 @@ def test_fixed_driver_determinism(cfg):
 # error estimation and the adaptive driver
 
 
-def test_error_estimate_tiny_on_linear_problem(harmonic, cfg):
+def test_step_doubling_error_tiny_on_linear_problem(harmonic, cfg):
     sys, state0 = harmonic
-    _, err = error_estimate(MethodSpec("gauss", 3), sys, state0.y, 0.05, cfg)
-    assert err <= 1e-13
+    assert step_doubling_error(MethodSpec("gauss", 3), sys, state0.y, 0.05, cfg) <= 1e-13
 
 
-def test_error_estimate_order_scaling(cfg):
+def test_step_doubling_error_order_scaling(cfg):
     sys, _ = kepler_system(0.6)
     y = kepler_reference(0.6, 1.0)
     hs = [0.2, 0.15, 0.1, 0.05]
-    errs = [error_estimate(GAUSS3, sys, y, h, cfg)[1] for h in hs]
+    errs = [step_doubling_error(GAUSS3, sys, y, h, cfg) for h in hs]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 7) <= 0.7  # local order p + 1 with p = 6
 
 
-def test_error_estimate_order_follows_method(cfg):
+def test_step_doubling_error_order_follows_method(cfg):
     # p comes from the method spec (2s), not a constant
     sys, _ = kepler_system(0.6)
     y = kepler_reference(0.6, 1.0)
     hs = [0.1, 0.05, 0.025]
-    errs = [error_estimate(MethodSpec("gauss", 2), sys, y, h, cfg)[1] for h in hs]
+    errs = [step_doubling_error(MethodSpec("gauss", 2), sys, y, h, cfg) for h in hs]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 5) <= 0.7  # p + 1 with p = 4
 

@@ -4,7 +4,6 @@ import pytest
 
 from geork.quadrature import (
     MAX_NODES,
-    LegendreBasis,
     gauss_rule,
     legendre_eval,
     vandermonde,
@@ -195,15 +194,6 @@ def test_orthonormality_by_quadrature():
         for j in range(i, 13):
             val = rule.integrate(lambda t: legendre_eval(i, t) * legendre_eval(j, t))
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
-
-
-def test_basis_wrapper_bounds():
-    basis = LegendreBasis(max_degree=4)
-    assert basis.eval(1, 0.7) == 1.0
-    with pytest.raises(ValueError):
-        basis.eval(5, 0.1)
-    with pytest.raises(ValueError):
-        LegendreBasis(max_degree=0)
 
 
 # ---------------------------------------------------------------------------

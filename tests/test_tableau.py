@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from geork.tableau import (
     ButcherTableau,
     MethodSpec,
-    build_X,
-    build_Xhat,
     build_equip_tableau,
     build_gauss,
     build_hbvm,
     build_tableau,
+    core_matrix,
     format_tableau,
     symplecticity_residual,
     tableau_csv,
@@ -47,24 +47,22 @@ def test_xi_values():
 
 
 def test_core_matrix_s1_ignores_alpha():
-    core = build_X(1, 123.0)
-    np.testing.assert_array_equal(core.entries, [[0.5]])
-    assert core.alpha == 0.0
+    np.testing.assert_array_equal(core_matrix(1, 123.0), [[0.5], [xi(1)]])
+    np.testing.assert_array_equal(core_matrix(1, 123.0), core_matrix(1))
 
 
 def test_core_matrix_s2():
-    core = build_X(2, 0.0)
     np.testing.assert_allclose(
-        core.entries, [[0.5, -0.28867513459481287], [0.28867513459481287, 0.0]],
+        core_matrix(2)[:2], [[0.5, -0.28867513459481287], [0.28867513459481287, 0.0]],
         atol=1e-14)
 
 
 def test_core_matrix_s3_alpha_placement():
-    X0 = build_X(3, 0.0).entries
-    X = build_X(3, 0.1).entries
+    X0 = core_matrix(3)
+    X = core_matrix(3, 0.1)
     assert X[1, 2] == pytest.approx(-(xi(2) + 0.1), rel=1e-15)
     assert X[2, 1] == pytest.approx(xi(2) + 0.1, rel=1e-15)
-    # alpha touches only the outermost pair
+    # alpha touches only the outermost pair of the top block
     mask = np.ones_like(X, dtype=bool)
     mask[1, 2] = mask[2, 1] = False
     np.testing.assert_array_equal(X[mask], X0[mask])
@@ -72,10 +70,9 @@ def test_core_matrix_s3_alpha_placement():
 
 def test_core_matrix_skew_structure():
     rng = np.random.default_rng(7)
-    e1e1 = None
     for s in range(1, 7):
         for alpha in rng.uniform(-2, 2, size=3):
-            X = build_X(s, alpha).entries
+            X = core_matrix(s, alpha)[:s]
             e1e1 = np.zeros((s, s))
             e1e1[0, 0] = 1.0
             np.testing.assert_allclose(X + X.T, e1e1, atol=1e-15)
@@ -83,24 +80,24 @@ def test_core_matrix_skew_structure():
 
 
 def test_extended_core_matrix():
+    np.testing.assert_allclose(core_matrix(1), [[0.5], [xi(1)]], atol=1e-15)
     np.testing.assert_allclose(
-        build_Xhat(1).entries, [[0.5], [xi(1)]], atol=1e-15)
-    np.testing.assert_allclose(
-        build_Xhat(2).entries,
-        [[0.5, -xi(1)], [xi(1), 0.0], [0.0, xi(2)]], atol=1e-15)
+        core_matrix(2), [[0.5, -xi(1)], [xi(1), 0.0], [0.0, xi(2)]], atol=1e-15)
     for s in range(1, 7):
-        Xhat = build_Xhat(s).entries
-        np.testing.assert_array_equal(Xhat[:s], build_X(s, 0.0).entries)
         bottom = np.zeros(s)
         bottom[-1] = xi(s)
-        np.testing.assert_array_equal(Xhat[s], bottom)
+        np.testing.assert_array_equal(core_matrix(s)[s], bottom)
+        np.testing.assert_array_equal(core_matrix(s, 0.7)[s], bottom)
+
+
+def test_core_matrix_is_read_only():
+    with pytest.raises(ValueError):
+        core_matrix(3)[0, 0] = 1.0
 
 
 def test_core_matrix_rejects_s0():
     with pytest.raises(ValueError):
-        build_X(0, 0.0)
-    with pytest.raises(ValueError):
-        build_Xhat(0)
+        core_matrix(0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,7 @@ def test_gauss_s2_closed_form():
         t.A, [[0.25, 0.25 - r], [0.25 + r, 0.25]], atol=TOL)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
 def test_gauss_matches_collocation_oracle(s):
     t = build_gauss(s)
     A, b, c = collocation_gauss(s)
@@ -130,13 +127,14 @@ def test_gauss_matches_collocation_oracle(s):
     np.testing.assert_allclose(t.c, c, atol=TOL)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
 def test_equip_alpha0_and_hbvm_ks_reduce_to_gauss(s):
+    # one formula builds all three families, so the reduction is bit-exact
     g = build_gauss(s)
     for t in (build_equip_tableau(s, 0.0), build_hbvm(s, s)):
-        np.testing.assert_allclose(t.A, g.A, atol=TOL)
-        np.testing.assert_allclose(t.b, g.b, atol=TOL)
-        np.testing.assert_allclose(t.c, g.c, atol=TOL)
+        np.testing.assert_array_equal(t.A, g.A)
+        np.testing.assert_array_equal(t.b, g.b)
+        np.testing.assert_array_equal(t.c, g.c)
 
 
 def test_tableau_metadata():
@@ -188,6 +186,11 @@ def test_equip_symplectic_for_every_alpha():
     for s in (2, 3, 4):
         for alpha in rng.uniform(-1, 1, size=20):
             assert symplecticity_residual(build_equip_tableau(s, alpha)) <= 1e-12
+
+
+@given(s=st.integers(1, 6), alpha=st.floats(-2.0, 2.0))
+def test_equip_symplectic_property(s, alpha):
+    assert symplecticity_residual(build_equip_tableau(s, alpha)) <= 1e-12
 
 
 def test_hbvm_above_s_is_not_symplectic():
