@@ -125,8 +125,8 @@ def _cmd_convergence(args) -> int:
     _write_or_discard(csv_path, lambda p: write_convergence_csv(results, p))
     print(f"wrote {csv_path}")
     for res in results:
-        slope = "n/a" if np.isnan(res.slope) else f"{res.slope:.3f}"
-        print(f"  {res.method} {res.observable}: slope {slope}")
+        slope, fine = ("n/a" if np.isnan(v) else f"{v:.3f}" for v in (res.slope, res.fine_slope))
+        print(f"  {res.method} {res.observable}: slope {slope}, small-h slope {fine}")
     if args.plot:
         gp_path = args.out + ".gp"
         _write_or_discard(gp_path, lambda p: write_convergence_plot(csv_path, p, results))

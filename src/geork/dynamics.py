@@ -81,11 +81,17 @@ def _kepler_energy(y: np.ndarray) -> np.ndarray:
 
 def _kepler_gradient(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    q, p = y[..., :2], y[..., 2:]
-    r = np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
-    if np.any(r < _MIN_RADIUS):
-        raise DomainError(f"kepler gradient evaluated at radius < {_MIN_RADIUS}")
-    return np.concatenate([q / r**3, p], axis=-1)
+    q1, q2 = y[..., 0], y[..., 1]
+    r2 = q1 * q1 + q2 * q2
+    # NaN fails the comparison, so a NaN state is rejected as well
+    if not (np.min(r2) >= _MIN_RADIUS**2):
+        raise DomainError(f"kepler gradient evaluated at radius < {_MIN_RADIUS} or at NaN")
+    k = r2**-1.5
+    g = np.empty_like(y)
+    g[..., 0] = q1 * k
+    g[..., 1] = q2 * k
+    g[..., 2:] = y[..., 2:]
+    return g
 
 
 def angular_momentum(y: np.ndarray) -> np.ndarray:

@@ -74,6 +74,16 @@ class ConvergenceResult:
     slope: float
     constant: float
 
+    @property
+    def fine_slope(self) -> float:
+        """Order fitted over the three smallest-h non-floored samples, else NaN.
+
+        ``slope`` is the chord over the whole grid and can take in
+        pre-asymptotic terms at large h; this is the h -> 0 rate.
+        """
+        kept = [pt for pt, fl in zip(self.samples, self.floored) if not fl]
+        return fit_order(kept[-3:])[0] if len(kept) >= 3 else math.nan
+
 
 @dataclass(frozen=True, eq=False)
 class DriftReport:

@@ -4,7 +4,10 @@ The stage systems Y_i = y + h sum_j a_ij f(Y_j) are solved by fixed-point
 iteration, which preserves the tableau exactly and is contractive at the
 benchmark stepsizes.  EQUIP steps wrap the stage solve in a scalar secant
 iteration that tunes the tableau parameter alpha until the step conserves the
-energy.
+energy.  Within one step each secant evaluation starts its stage iteration
+from the previous evaluation's converged stages, which differ from the new
+ones only by O(delta alpha); the first evaluation of a step starts from y.
+A non-finite step result raises Divergence, like a diverging stage solve.
 """
 
 from __future__ import annotations
@@ -101,19 +104,22 @@ def _stage_field(sys: HamiltonianSystem, Y: np.ndarray) -> np.ndarray:
 
 
 def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
-                 h: float, cfg: SolverConfig):
+                 h: float, cfg: SolverConfig, Y0: np.ndarray | None = None):
     """Solve the implicit stage system by fixed-point iteration.
 
     Returns (stages, iterations).  Stages come back as an (n_stages, dim)
     array whose rows satisfy the stage equations to within
-    stage_tol * (1 + |y|_inf).  Negative h is legal (it runs the method
-    backwards, used by the reversibility checks).
+    stage_tol * (1 + |y|_inf).  The iteration starts from Y0, an
+    (n_stages, dim) guess such as the stages of a nearby tableau, or from y
+    in every row when Y0 is None; the start changes only the iteration
+    count, not the tolerance the result meets.  Negative h is legal (it runs
+    the method backwards, used by the reversibility checks).
     """
     if not np.isfinite(h):
         raise ValueError("stepsize must be finite")
     tol = cfg.stage_tol * (1.0 + np.max(np.abs(y)))
     hA = h * tab.A
-    Y = np.tile(y, (tab.n_stages, 1))
+    Y = np.tile(y, (tab.n_stages, 1)) if Y0 is None else Y0
     F = _stage_field(sys, Y)
     for it in range(1, cfg.max_stage_iters + 1):
         Z = y[None, :] + hA @ F
@@ -121,7 +127,8 @@ def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
         Y = Z
         if res <= tol:
             return Y, it
-        if not np.all(np.isfinite(Y)) or np.max(np.abs(Y)) > _DIVERGENCE_LIMIT:
+        # one reduction: NaN fails the comparison, so it also catches NaN and inf
+        if not (np.max(np.abs(Y)) <= _DIVERGENCE_LIMIT):
             raise Divergence(f"stage iterates diverged at h={h}")
         F = _stage_field(sys, Y)
     raise NonConvergence(
@@ -129,12 +136,20 @@ def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
     )
 
 
+def _update(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
+            h: float, Y: np.ndarray) -> np.ndarray:
+    """y_next = y + h sum_i b_i f(Y_i); a non-finite result is a Divergence."""
+    y_next = y + h * (tab.b @ _stage_field(sys, Y))
+    if not np.all(np.isfinite(y_next)):
+        raise Divergence(f"non-finite step result at h={h}")
+    return y_next
+
+
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, cfg: SolverConfig, t: float = 0.0) -> StepRecord:
     """One step of the tableau's method from (t, y) to (t + h, y_next)."""
     Y, iters = solve_stages(tab, sys, y, h, cfg)
-    F = _stage_field(sys, Y)
-    y_next = y + h * (tab.b @ F)
+    y_next = _update(tab, sys, y, h, Y)
     return StepRecord(
         state=State(t=t + h, y=y_next), h=h, alpha=tab.alpha,
         stage_iters=iters, alpha_iters=0, accepted=True,
@@ -142,26 +157,32 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
 
 
 def _equip_root_solve(s, sys, y, h, cfg, alpha_prev):
-    """Secant iteration on g(alpha) = H(y_next(alpha)) - H(y)."""
+    """Secant iteration on g(alpha) = H(y_next(alpha)) - H(y).
+
+    Each evaluation after the first starts its stage iteration from the
+    previous evaluation's stages (None until one has converged).
+    """
     H0 = float(sys.energy(y))
     gtol = cfg.alpha_tol * (1.0 + abs(H0))
     evals = 0
     stage_iters = 0
+    Y_prev = None
 
     def g(alpha):
-        nonlocal evals, stage_iters
+        nonlocal evals, stage_iters, Y_prev
         if evals >= cfg.max_alpha_iters:
             raise AlphaNotFound(
                 f"no conserving alpha within {cfg.max_alpha_iters} evaluations (h={h})"
             )
         tab = build_equip_tableau(s, alpha)
         try:
-            Y, iters = solve_stages(tab, sys, y, h, cfg)
+            Y, iters = solve_stages(tab, sys, y, h, cfg, Y_prev)
         except (NonConvergence, Divergence) as exc:
             raise AlphaNotFound(f"stage solve failed at alpha={alpha}: {exc}") from exc
         evals += 1
         stage_iters += iters
-        y_next = y + h * (tab.b @ _stage_field(sys, Y))
+        Y_prev = Y
+        y_next = _update(tab, sys, y, h, Y)
         return float(sys.energy(y_next)) - H0, y_next
 
     a0 = alpha_prev

@@ -19,12 +19,13 @@ every alpha.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_rule, vandermonde
+from .quadrature import QuadratureRule, gauss_rule, vandermonde
 
 __all__ = [
     "MethodSpec",
@@ -127,13 +128,25 @@ class ButcherTableau:
         self.c.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=None)
+def _node_basis(n_stages: int, s: int) -> tuple[QuadratureRule, np.ndarray]:
+    """Gauss rule on n_stages nodes and the read-only n_stages x (s+1) matrix W.
+
+    This is the alpha-independent half of every tableau, built on first use,
+    so an EQUIP secant evaluation only forms the core matrix and two products.
+    """
+    rule = gauss_rule(n_stages)
+    W = vandermonde(rule, s + 1)
+    W.setflags(write=False)
+    return rule, W
+
+
 def build_tableau(spec: MethodSpec, alpha: float = 0.0) -> ButcherTableau:
     """Construct the tableau a MethodSpec describes (alpha applies to equip only)."""
     s = spec.s
     if spec.kind != "equip" or s == 1:
         alpha = 0.0
-    rule = gauss_rule(spec.n_stages)
-    W = vandermonde(rule, s + 1)
+    rule, W = _node_basis(spec.n_stages, s)
     A = (W @ core_matrix(s, alpha) @ W[:, :s].T) * rule.weights
     return ButcherTableau(
         n_stages=spec.n_stages, A=A, b=rule.weights, c=rule.nodes,

@@ -115,7 +115,9 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert csv_lines[0] == "method,s,k,observable,h,error,floored"
     assert len(csv_lines) == 1 + 3 * 3
     assert "set logscale xy" in (tmp_path / "conv.gp").read_text()
-    assert "slope" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "gauss:s=3 solution_error: slope " in out
+    assert "small-h slope" in out
 
 
 def test_drift_subcommand(tmp_path, capsys):

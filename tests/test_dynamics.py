@@ -97,8 +97,13 @@ def test_kepler_rejects_bad_eccentricity():
 
 def test_kepler_gradient_guards_collision():
     sys, _ = kepler_system(0.6)
-    with pytest.raises(DomainError):
-        sys.gradient(np.array([1e-9, 0.0, 0.0, 1.0]))
+    healthy = [1.0, 0.0, 0.0, 1.0]
+    for bad in ([1e-9, 0.0, 0.0, 1.0], [0.7e-8, 0.7e-8, 0.0, 1.0], [np.nan, 0.0, 0.0, 1.0]):
+        with pytest.raises(DomainError):
+            sys.gradient(np.array(bad))
+        # one bad row in a stack of stage vectors is enough
+        with pytest.raises(DomainError):
+            sys.gradient(np.array([healthy, bad]))
 
 
 def test_reference_recovers_initial_state():

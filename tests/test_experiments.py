@@ -80,6 +80,25 @@ def test_pinned_constant_exact():
     assert pinned_constant(res, slope=6.0) == pytest.approx(7.0, rel=1e-12)
 
 
+def test_fine_slope_is_the_small_h_rate():
+    # an order-6 error with a negative h^8 term, as HBVM(4,3) shows on Kepler:
+    # on the default grid the chord falls below 5.5, the small-h rate does not
+    hs = [PERIOD / d for d in (50, 70, 100, 140, 200, 280)]
+    samples = tuple((h, h**6 - 40.0 * h**8) for h in hs)
+    flags = (False,) * 5 + (True,)
+    slope, constant = fit_order(samples[:5])
+    res = ConvergenceResult(
+        method=MethodSpec("hbvm", 3, 4), observable="solution_error", samples=samples,
+        floored=flags, slope=slope, constant=constant)
+    # the floored smallest h is skipped: the fit runs over d = 100, 140, 200
+    assert res.fine_slope == fit_order(samples[2:5])[0]
+    assert res.slope < 5.5 < res.fine_slope < 6.0
+    few = ConvergenceResult(
+        method=GAUSS3, observable="solution_error", samples=samples[:3],
+        floored=(False, True, False), slope=math.nan, constant=math.nan)
+    assert math.isnan(few.fine_slope)
+
+
 # ---------------------------------------------------------------------------
 # convergence study
 

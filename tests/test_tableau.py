@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from geork.quadrature import gauss_rule, vandermonde
 from geork.tableau import (
     ButcherTableau,
     MethodSpec,
@@ -157,6 +158,26 @@ def test_equip_alpha0_and_hbvm_ks_reduce_to_gauss(s):
         np.testing.assert_array_equal(t.A, g.A)
         np.testing.assert_array_equal(t.b, g.b)
         np.testing.assert_array_equal(t.c, g.c)
+
+
+@pytest.mark.parametrize("spec,alpha", [(MethodSpec("gauss", s), 0.0) for s in range(1, 7)]
+                         + [(MethodSpec("equip", 3), 0.25), (MethodSpec("hbvm", 3, 12), 0.0)],
+                         ids=str)
+def test_cached_basis_matches_fresh_build(spec, alpha):
+    # the second build takes the node rule and W from the cache the first
+    # filled; a fresh rule and W give the same bits
+    build_tableau(spec, alpha)
+    t = build_tableau(spec, alpha)
+    s = spec.s
+    rule = gauss_rule(t.n_stages)
+    W = vandermonde(rule, s + 1)
+    A = (W @ core_matrix(s, t.alpha) @ W[:, :s].T) * rule.weights
+    np.testing.assert_array_equal(t.A, A)
+    np.testing.assert_array_equal(t.b, rule.weights)
+    np.testing.assert_array_equal(t.c, rule.nodes)
+    for array in (t.A, t.b, t.c):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_tableau_metadata():
