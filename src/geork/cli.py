@@ -49,6 +49,8 @@ def parse_method(text: str) -> MethodSpec:
             key = key.strip().lower()
             if not eq or key not in ("s", "k"):
                 raise MethodParseError(f"bad parameter {item!r} in {text!r}")
+            if key in params:
+                raise MethodParseError(f"duplicate parameter {key!r} in {text!r}")
             try:
                 params[key] = int(value)
             except ValueError:
@@ -84,6 +86,8 @@ def _write_or_discard(path, writer):
 def _cmd_tableau(args) -> int:
     spec = parse_method(args.method)
     tab = build_tableau(spec, alpha=args.alpha)
+    if tab.alpha == 0.0 and args.alpha != 0.0:
+        raise ValueError(f"--alpha has no effect on {spec}; only equip with s >= 2 takes it")
     print(tableau_csv(tab) if args.csv else format_tableau(tab), end="")
     if not args.csv:
         print()
@@ -161,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--method", required=True,
                        help="method spec, e.g. gauss:s=3, hbvm:k=6,s=3, equip:s=3")
     p_tab.add_argument("--alpha", type=float, default=0.0,
-                       help="tableau parameter for equip (default 0)")
+                       help="tableau parameter for equip with s >= 2 (default 0)")
     p_tab.add_argument("--csv", action="store_true", help="machine-readable output")
     p_tab.set_defaults(func=_cmd_tableau)
 

@@ -52,8 +52,7 @@ class HamiltonianSystem:
     """Canonical Hamiltonian problem of dimension 2 * half_dim.
 
     ``invariants`` maps short names to scalar functions of the state and
-    always contains the energy under "H".  ``reference`` (optional) returns
-    the exact state at a given time.
+    always contains the energy under "H".
     """
 
     name: str
@@ -62,7 +61,6 @@ class HamiltonianSystem:
     gradient: Callable[[np.ndarray], np.ndarray]
     invariants: dict[str, Callable[[np.ndarray], np.ndarray]]
     poly_degree: int | None = None
-    reference: Callable[[float], np.ndarray] | None = None
 
 
 def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
@@ -143,7 +141,6 @@ def kepler_system(e: float) -> tuple[HamiltonianSystem, State]:
         energy=_kepler_energy,
         gradient=_kepler_gradient,
         invariants={"H": _kepler_energy, "L": angular_momentum},
-        reference=lambda t: kepler_reference(e, t),
     )
     return sys, State(t=0.0, y=y0)
 

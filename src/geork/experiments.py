@@ -2,15 +2,13 @@
 
 Raw trajectories are reduced to fitted convergence orders, error constants
 and per-invariant drift verdicts, and persisted as CSV (plus optional gnuplot
-scripts).  Grid cells are independent; set GEORK_THREADS > 0 to run them in a
-thread pool (results are reduced in deterministic order either way).
+scripts).  Campaigns run their cells one after another, method by method.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,18 +95,6 @@ class DriftReport:
     verdict: str
 
 
-def _map_jobs(fn, jobs):
-    raw = os.environ.get("GEORK_THREADS", "0") or "0"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"GEORK_THREADS must be an integer, got {raw!r}") from None
-    if workers > 0:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
-
-
 def fit_order(samples) -> tuple[float, float]:
     """Least-squares power-law fit; returns (slope, exp(intercept))."""
     if len(samples) < 3:
@@ -157,7 +143,7 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
     y0 = state0.y
     total = periods * PERIOD
     H0 = float(sys.energy(y0))
-    inv0 = {name: float(fn(y0)) for name, fn in sys.invariants.items()}
+    L0 = float(sys.invariants["L"](y0))
 
     h_grid = sorted(h_grid, reverse=True)
     for h in h_grid:
@@ -165,29 +151,22 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
         if n < 1 or abs(n * h - total) > 1e-9 * total:
             raise ValueError(f"h={h} does not divide the time span {total}")
 
-    def run_cell(job):
-        method, h = job
-        n = round(total / h)
-        try:
-            recs = integrate_fixed(method, sys, y0, h, n, cfg)
-        except IntegrationError as exc:
-            raise type(exc)(f"convergence cell ({method}, h={h:.6g}): {exc}") from exc
-        ys = np.stack([r.state.y for r in recs])
-        t_final = recs[-1].state.t
-        sol = float(np.linalg.norm(recs[-1].state.y - kepler_reference(e, t_final)))
-        errs = {"solution_error": sol}
-        errs["energy_error"] = float(np.max(np.abs(sys.energy(ys) - inv0["H"])))
-        errs["momentum_error"] = float(np.max(np.abs(sys.invariants["L"](ys) - inv0["L"])))
-        return errs
-
-    jobs = [(m, h) for m in methods for h in h_grid]
-    cells = dict(zip(jobs, _map_jobs(run_cell, jobs)))
-
     results = []
     for method in methods:
+        errs = {obs: [] for obs in OBSERVABLES}
+        for h in h_grid:
+            try:
+                recs = integrate_fixed(method, sys, y0, h, round(total / h), cfg)
+            except IntegrationError as exc:
+                raise type(exc)(f"convergence cell ({method}, h={h:.6g}): {exc}") from exc
+            ys = np.stack([r.state.y for r in recs])
+            y_ref = kepler_reference(e, recs[-1].state.t)
+            errs["solution_error"].append(float(np.linalg.norm(recs[-1].state.y - y_ref)))
+            errs["energy_error"].append(float(np.max(np.abs(sys.energy(ys) - H0))))
+            errs["momentum_error"].append(float(np.max(np.abs(sys.invariants["L"](ys) - L0))))
         for obs in OBSERVABLES:
-            samples = tuple((h, cells[(method, h)][obs]) for h in h_grid)
-            flags = tuple(floor_flags([err for _, err in samples], obs, H0))
+            samples = tuple(zip(h_grid, errs[obs]))
+            flags = tuple(floor_flags(errs[obs], obs, H0))
             slope, constant = _fit_or_nan(samples, flags)
             results.append(ConvergenceResult(
                 method=method, observable=obs, samples=samples,
@@ -263,14 +242,10 @@ def drift_reports(method: MethodSpec, per_period, sys: HamiltonianSystem, y0,
 def drift_study(methods, e: float, periods: int, tol: float, cfg: SolverConfig):
     """Adaptive Kepler campaign; one DriftReport per (method, invariant)."""
     sys, state0 = kepler_system(e)
-
-    def run_method(method):
-        per_period = run_adaptive_periods(method, sys, state0.y, periods, tol, cfg)
-        return drift_reports(method, per_period, sys, state0.y, tol)
-
     reports = []
-    for chunk in _map_jobs(run_method, list(methods)):
-        reports.extend(chunk)
+    for method in methods:
+        per_period = run_adaptive_periods(method, sys, state0.y, periods, tol, cfg)
+        reports.extend(drift_reports(method, per_period, sys, state0.y, tol))
     return reports
 
 
@@ -325,50 +300,36 @@ def write_drift_csv(reports, path) -> None:
                      f"slope={_fmt(rep.drift_slope)}\n")
 
 
-def _series_condition(method: MethodSpec, extra: str) -> str:
-    cond = (f'strcol(1) eq "{method.kind}" && strcol(2) eq "{method.s}" '
-            f'&& strcol(3) eq "{method.k if method.k is not None else ""}"')
-    return f"({cond} && {extra})"
+def _write_plot(csv_path, gp_path, settings, series) -> None:
+    """gnuplot script drawing column 6 against column 5 of csv_path.
+
+    One curve per (method, column-4 value, title) in series; settings are
+    the axis lines.
+    """
+    csv_name = os.path.basename(csv_path)
+    clauses = []
+    for method, name, title in series:
+        kind, s, k = _method_cols(method)
+        cond = (f'strcol(1) eq "{kind}" && strcol(2) eq "{s}" '
+                f'&& strcol(3) eq "{k}" && strcol(4) eq "{name}"')
+        clauses.append(f"  '{csv_name}' every ::1 using (({cond}) ? $5 : 1/0):6 "
+                       f"with linespoints title \"{title}\"")
+    lines = [f"# gnuplot script for {csv_name}", "set datafile separator comma", *settings,
+             "set key outside", "plot \\\n" + ", \\\n".join(clauses)]
+    with open(gp_path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_convergence_plot(csv_path, gp_path, results) -> None:
     """Log-log gnuplot script drawing one curve per (method, observable)."""
-    csv_name = os.path.basename(csv_path)
-    lines = [
-        f"# gnuplot script for {csv_name}",
-        "set datafile separator comma",
-        "set logscale xy",
-        'set xlabel "stepsize h"',
-        'set ylabel "error"',
-        "set key outside",
-    ]
-    clauses = []
-    for res in results:
-        cond = _series_condition(res.method, f'strcol(4) eq "{res.observable}"')
-        title = f"{res.method} {res.observable}"
-        clauses.append(f"  '{csv_name}' every ::1 using ({cond} ? $5 : 1/0):6 "
-                       f"with linespoints title \"{title}\"")
-    lines.append("plot \\\n" + ", \\\n".join(clauses))
-    with open(gp_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_plot(csv_path, gp_path,
+                ["set logscale xy", 'set xlabel "stepsize h"', 'set ylabel "error"'],
+                [(r.method, r.observable, f"{r.method} {r.observable}") for r in results])
 
 
 def write_drift_plot(csv_path, gp_path, reports) -> None:
     """Linear-axes gnuplot script: per-period deviation per (method, invariant)."""
-    csv_name = os.path.basename(csv_path)
-    lines = [
-        f"# gnuplot script for {csv_name}",
-        "set datafile separator comma",
-        'set xlabel "period"',
-        'set ylabel "max invariant deviation"',
-        "set key outside",
-    ]
-    clauses = []
-    for rep in reports:
-        cond = _series_condition(rep.method, f'strcol(4) eq "{rep.invariant}"')
-        title = f"{rep.method} {rep.invariant} ({rep.verdict})"
-        clauses.append(f"  '{csv_name}' every ::1 using ({cond} ? $5 : 1/0):6 "
-                       f"with linespoints title \"{title}\"")
-    lines.append("plot \\\n" + ", \\\n".join(clauses))
-    with open(gp_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_plot(csv_path, gp_path,
+                ['set xlabel "period"', 'set ylabel "max invariant deviation"'],
+                [(r.method, r.invariant, f"{r.method} {r.invariant} ({r.verdict})")
+                 for r in reports])

@@ -91,7 +91,6 @@ class StepRecord:
     alpha: float
     stage_iters: int
     alpha_iters: int
-    accepted: bool
     err_est: float | None = None
     flagged: bool = False
 
@@ -152,7 +151,7 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
     y_next = _update(tab, sys, y, h, Y)
     return StepRecord(
         state=State(t=t + h, y=y_next), h=h, alpha=tab.alpha,
-        stage_iters=iters, alpha_iters=0, accepted=True,
+        stage_iters=iters, alpha_iters=0,
     )
 
 
@@ -217,7 +216,7 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
         alpha, y_next, a_iters, s_iters = _equip_root_solve(s, sys, y, h, cfg, alpha_prev)
         return StepRecord(
             state=State(t=t + h, y=y_next), h=h, alpha=alpha,
-            stage_iters=s_iters, alpha_iters=a_iters, accepted=True,
+            stage_iters=s_iters, alpha_iters=a_iters,
         )
     except AlphaNotFound:
         pass
@@ -228,7 +227,7 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
             state=State(t=t + h, y=r2.state.y), h=h, alpha=r2.alpha,
             stage_iters=r1.stage_iters + r2.stage_iters,
             alpha_iters=r1.alpha_iters + r2.alpha_iters,
-            accepted=True, flagged=r1.flagged or r2.flagged,
+            flagged=r1.flagged or r2.flagged,
         )
     rec = rk_step(build_equip_tableau(s, 0.0), sys, y, h, cfg, t=t)
     return replace(rec, flagged=True)
@@ -263,7 +262,7 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
 
 
 def _attempt_step(method, tab, sys, y, h, cfg, t, alpha_prev):
-    """Step-doubling error estimate; keeps the two-half-step state.
+    """One step-doubling attempt: the two-half-step record with err_est set.
 
     Local extrapolation is deliberately not applied: the raw two-half-step
     value preserves the method's conservation character.
@@ -274,14 +273,12 @@ def _attempt_step(method, tab, sys, y, h, cfg, t, alpha_prev):
                          t + 0.5 * h, half1.alpha)
     p = method.order
     err = float(np.max(np.abs(full.state.y - half2.state.y))) / (2.0 ** p - 1.0)
-    info = StepRecord(
+    return StepRecord(
         state=half2.state, h=h, alpha=half2.alpha,
         stage_iters=full.stage_iters + half1.stage_iters + half2.stage_iters,
         alpha_iters=full.alpha_iters + half1.alpha_iters + half2.alpha_iters,
-        accepted=True, err_est=err,
-        flagged=full.flagged or half1.flagged or half2.flagged,
+        err_est=err, flagged=full.flagged or half1.flagged or half2.flagged,
     )
-    return half2.state.y, err, info
 
 
 def propose_factor(err_est: float, tol: float, p: int) -> float:
@@ -329,7 +326,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
         if lands_on_end:
             h = t_end - t
         try:
-            y_new, err, info = _attempt_step(method, tab, sys, y, h, cfg, t, alpha_prev)
+            info = _attempt_step(method, tab, sys, y, h, cfg, t, alpha_prev)
         except (NonConvergence, Divergence):
             if h <= H_MIN * (1.0 + 1e-9):
                 raise MinStepReached(
@@ -337,16 +334,12 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
                 ) from None
             h = max(0.5 * h, H_MIN)
             continue
-        if err <= tol:
+        if info.err_est <= tol:
+            y = info.state.y
             t = t_end if lands_on_end else t + h
-            records.append(replace(info, state=State(t=t, y=y_new)))
-            y = y_new
+            records.append(replace(info, state=State(t=t, y=y)))
             alpha_prev = info.alpha
-            h = max(h * propose_factor(err, tol, p), H_MIN)
-        else:
-            if h <= H_MIN * (1.0 + 1e-9):
-                raise MinStepReached(
-                    f"{method}: step rejected at the minimum stepsize (t={t:.6g})"
-                )
-            h = max(h * propose_factor(err, tol, p), H_MIN)
+        elif h <= H_MIN * (1.0 + 1e-9):
+            raise MinStepReached(f"{method}: step rejected at the minimum stepsize (t={t:.6g})")
+        h = max(h * propose_factor(info.err_est, tol, p), H_MIN)
     return records

@@ -23,7 +23,6 @@ def harmonic_oscillator():
         energy=_harmonic_energy,
         gradient=_harmonic_gradient,
         invariants={"H": _harmonic_energy},
-        reference=lambda t: np.array([np.cos(t), -np.sin(t)]),
     )
     return sys, State(t=0.0, y=np.array([1.0, 0.0]))
 

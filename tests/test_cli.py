@@ -35,6 +35,10 @@ def test_parse_method_errors():
         parse_method("gauss:s=three")
     with pytest.raises(MethodParseError, match="bad parameter 'order=3'"):
         parse_method("gauss:order=3")
+    with pytest.raises(MethodParseError, match="duplicate parameter 's'"):
+        parse_method("gauss:s=3,s=5")
+    with pytest.raises(MethodParseError, match="duplicate parameter 'k'"):
+        parse_method("hbvm:k=6,s=3,K=9")
 
 
 def test_round_trip():
@@ -148,6 +152,20 @@ def test_bad_method_diagnostic_names_subcommand(capsys):
     err = capsys.readouterr().err
     assert "tableau" in err
     assert "k >= s" in err
+
+
+@pytest.mark.parametrize("method", ["gauss:s=2", "hbvm:k=6,s=3", "equip:s=1"])
+def test_tableau_rejects_alpha_without_effect(method, capsys):
+    rc = main(["tableau", "--method", method, "--alpha", "0.7"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha has no effect" in captured.err
+
+
+def test_tableau_alpha_reaches_equip(capsys):
+    assert main(["tableau", "--method", "equip:s=2", "--alpha", "0.7", "--csv"]) == 0
+    assert "# alpha 0.69999999999999996" in capsys.readouterr().out
 
 
 def test_bad_eccentricity_diagnostic(tmp_path, capsys):

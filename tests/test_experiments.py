@@ -311,13 +311,3 @@ def test_plot_scripts_reference_csv(tmp_path, small_study, mild_drift_run):
     text = drift_gp.read_text()
     assert "logscale" not in text  # drift axes are linear
     assert "'drift.csv'" in text
-
-
-def test_thread_env_does_not_change_results(tmp_path, small_study, monkeypatch):
-    monkeypatch.setenv("GEORK_THREADS", "2")
-    h_grid = [PERIOD / d for d in (100, 140, 200)]
-    threaded = convergence_study([GAUSS2], 0.6, 2, h_grid, SolverConfig())
-    a, b = tmp_path / "seq.csv", tmp_path / "thr.csv"
-    write_convergence_csv(small_study, a)
-    write_convergence_csv(threaded, b)
-    assert a.read_bytes() == b.read_bytes()

@@ -57,8 +57,7 @@ def trapped_system(traps):
 
 def step_doubling_error(method, sys, y, h, cfg):
     """The controller's error estimate for one attempt of size h from y."""
-    _, err, _ = _attempt_step(method, build_tableau(method), sys, y, h, cfg, 0.0, 0.0)
-    return err
+    return _attempt_step(method, build_tableau(method), sys, y, h, cfg, 0.0, 0.0).err_est
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,6 @@ def test_adaptive_lands_exactly_and_respects_tol(cfg):
     recs = integrate_adaptive(GAUSS3, sys, state0.y, T, 1e-8, cfg)
     assert recs[-1].state.t == T
     assert all(r.err_est <= 1e-8 for r in recs)
-    assert all(r.accepted for r in recs)
     # the trajectory is genuinely accurate at that tolerance
     err = np.linalg.norm(recs[-1].state.y - kepler_reference(0.6, T))
     assert err <= 1e-5
