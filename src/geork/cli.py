@@ -85,6 +85,8 @@ def _write_or_discard(path, writer):
 
 def _cmd_tableau(args) -> int:
     spec = parse_method(args.method)
+    if not np.isfinite(args.alpha):
+        raise ValueError(f"--alpha must be finite, got {args.alpha}")
     tab = build_tableau(spec, alpha=args.alpha)
     if tab.alpha == 0.0 and args.alpha != 0.0:
         raise ValueError(f"--alpha has no effect on {spec}; only equip with s >= 2 takes it")
@@ -94,27 +96,37 @@ def _cmd_tableau(args) -> int:
     return 0
 
 
-def _get_problem(args):
-    if args.problem == "kepler":
-        return kepler_system(args.e)
-    return quartic_oscillator()
-
-
 def _cmd_run(args) -> int:
     spec = parse_method(args.method)
-    sys_, state0 = _get_problem(args)
+    sys_, state0 = kepler_system(args.e) if args.problem == "kepler" else quartic_oscillator()
     cfg = SolverConfig()
+    mode, partner, other = (("--h", "steps", "periods") if args.h is not None
+                            else ("--tol", "periods", "steps"))
+    if getattr(args, partner) is None:
+        raise ValueError(f"{mode} requires --{partner}")
+    if getattr(args, other) is not None:
+        raise ValueError(f"--{other} has no effect with {mode}")
     if args.h is not None:
-        if args.steps is None:
-            raise ValueError("--h requires --steps")
         records = integrate_fixed(spec, sys_, state0.y, args.h, args.steps, cfg)
     else:
-        if args.periods is None:
-            raise ValueError("--tol requires --periods")
         records = integrate_adaptive(spec, sys_, state0.y, args.periods * PERIOD,
                                      args.tol, cfg)
     _write_or_discard(args.out, lambda p: write_step_csv(records, p, sys_, state0.y))
     print(f"wrote {len(records)} steps to {args.out}")
+    return 0
+
+
+def _write_campaign(args, items, write_csv, write_plot, lines) -> int:
+    """Write the campaign CSV, print one line per series, then the optional plot."""
+    csv_path = args.out + ".csv"
+    _write_or_discard(csv_path, lambda p: write_csv(items, p))
+    print(f"wrote {csv_path}")
+    for line in lines:
+        print(f"  {line}")
+    if args.plot:
+        gp_path = args.out + ".gp"
+        _write_or_discard(gp_path, lambda p: write_plot(csv_path, p, items))
+        print(f"wrote {gp_path}")
     return 0
 
 
@@ -125,32 +137,18 @@ def _cmd_convergence(args) -> int:
         raise ValueError("stepsize divisors must be positive")
     h_grid = [PERIOD / d for d in divisors]
     results = convergence_study(methods, args.e, args.periods, h_grid, SolverConfig())
-    csv_path = args.out + ".csv"
-    _write_or_discard(csv_path, lambda p: write_convergence_csv(results, p))
-    print(f"wrote {csv_path}")
+    lines = []
     for res in results:
         slope, fine = ("n/a" if np.isnan(v) else f"{v:.3f}" for v in (res.slope, res.fine_slope))
-        print(f"  {res.method} {res.observable}: slope {slope}, small-h slope {fine}")
-    if args.plot:
-        gp_path = args.out + ".gp"
-        _write_or_discard(gp_path, lambda p: write_convergence_plot(csv_path, p, results))
-        print(f"wrote {gp_path}")
-    return 0
+        lines.append(f"{res.method} {res.observable}: slope {slope}, small-h slope {fine}")
+    return _write_campaign(args, results, write_convergence_csv, write_convergence_plot, lines)
 
 
 def _cmd_drift(args) -> int:
     methods = parse_method_list(args.methods)
     reports = drift_study(methods, args.e, args.periods, args.tol, SolverConfig())
-    csv_path = args.out + ".csv"
-    _write_or_discard(csv_path, lambda p: write_drift_csv(reports, p))
-    print(f"wrote {csv_path}")
-    for rep in reports:
-        print(f"  {rep.method} {rep.invariant}: {rep.verdict}")
-    if args.plot:
-        gp_path = args.out + ".gp"
-        _write_or_discard(gp_path, lambda p: write_drift_plot(csv_path, p, reports))
-        print(f"wrote {gp_path}")
-    return 0
+    return _write_campaign(args, reports, write_drift_csv, write_drift_plot,
+                           [f"{rep.method} {rep.invariant}: {rep.verdict}" for rep in reports])
 
 
 def _build_parser() -> argparse.ArgumentParser:

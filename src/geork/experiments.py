@@ -79,8 +79,7 @@ class ConvergenceResult:
         ``slope`` is the chord over the whole grid and can take in
         pre-asymptotic terms at large h; this is the h -> 0 rate.
         """
-        kept = [pt for pt, fl in zip(self.samples, self.floored) if not fl]
-        return fit_order(kept[-3:])[0] if len(kept) >= 3 else math.nan
+        return _fit_or_nan(_kept(self.samples, self.floored)[-3:])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +108,7 @@ def fit_order(samples) -> tuple[float, float]:
 
 def pinned_constant(result: ConvergenceResult, slope: float = 6.0) -> float:
     """Error constant refit with the slope pinned (over non-floored samples)."""
-    pts = [(h, err) for (h, err), fl in zip(result.samples, result.floored) if not fl]
+    pts = _kept(result.samples, result.floored)
     if not pts:
         return math.nan
     logs = [math.log(err) - slope * math.log(h) for h, err in pts]
@@ -125,11 +124,13 @@ def floor_flags(errors, observable: str, ref_energy: float) -> list[bool]:
     return [err < floor for err in errors]
 
 
-def _fit_or_nan(samples, floored):
-    kept = [pt for pt, fl in zip(samples, floored) if not fl]
-    if len(kept) < 3:
-        return math.nan, math.nan
-    return fit_order(kept)
+def _kept(samples, floored) -> list:
+    """The samples whose floor flag is clear, in their original order."""
+    return [pt for pt, fl in zip(samples, floored) if not fl]
+
+
+def _fit_or_nan(samples) -> tuple[float, float]:
+    return fit_order(samples) if len(samples) >= 3 else (math.nan, math.nan)
 
 
 def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig):
@@ -167,7 +168,7 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
         for obs in OBSERVABLES:
             samples = tuple(zip(h_grid, errs[obs]))
             flags = tuple(floor_flags(errs[obs], obs, H0))
-            slope, constant = _fit_or_nan(samples, flags)
+            slope, constant = _fit_or_nan(_kept(samples, flags))
             results.append(ConvergenceResult(
                 method=method, observable=obs, samples=samples,
                 floored=flags, slope=slope, constant=constant,
@@ -257,20 +258,16 @@ def write_step_csv(records, path, sys: HamiltonianSystem, y0) -> None:
     """One row per accepted step; invariant errors are relative to the run start."""
     y0 = np.asarray(y0, dtype=float)
     m = sys.half_dim
-    planar = m == 2
     cols = (["t"] + [f"q{i+1}" for i in range(m)] + [f"p{i+1}" for i in range(m)]
-            + ["h", "alpha", "stage_iters", "err_H"] + (["err_L"] if planar else []))
-    H0 = float(sys.energy(y0))
-    L0 = float(sys.invariants["L"](y0)) if planar and "L" in sys.invariants else None
+            + ["h", "alpha", "stage_iters"] + [f"err_{name}" for name in sys.invariants])
+    refs = [(fn, float(fn(y0))) for fn in sys.invariants.values()]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for rec in records:
             y = rec.state.y
             row = [_fmt(rec.state.t)] + [_fmt(v) for v in y]
             row += [_fmt(rec.h), _fmt(rec.alpha), str(rec.stage_iters)]
-            row.append(_fmt(abs(float(sys.energy(y)) - H0)))
-            if planar:
-                row.append(_fmt(abs(float(sys.invariants["L"](y)) - L0)))
+            row += [_fmt(abs(float(fn(y)) - ref)) for fn, ref in refs]
             fh.write(",".join(row) + "\n")
 
 

@@ -95,6 +95,16 @@ class StepRecord:
     flagged: bool = False
 
 
+def _combined(state: State, h: float, parts, err_est: float | None = None) -> StepRecord:
+    """One record for a step of size h made of parts; the last part ends it."""
+    return StepRecord(
+        state=state, h=h, alpha=parts[-1].alpha,
+        stage_iters=sum(r.stage_iters for r in parts),
+        alpha_iters=sum(r.alpha_iters for r in parts),
+        err_est=err_est, flagged=any(r.flagged for r in parts),
+    )
+
+
 def _stage_field(sys: HamiltonianSystem, Y: np.ndarray) -> np.ndarray:
     try:
         return canonical_field(sys, Y)
@@ -119,17 +129,15 @@ def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
     tol = cfg.stage_tol * (1.0 + np.max(np.abs(y)))
     hA = h * tab.A
     Y = np.tile(y, (tab.n_stages, 1)) if Y0 is None else Y0
-    F = _stage_field(sys, Y)
     for it in range(1, cfg.max_stage_iters + 1):
-        Z = y[None, :] + hA @ F
-        res = np.max(np.abs(Y - Z))
+        Z = y[None, :] + hA @ _stage_field(sys, Y)
+        res = abs(Y - Z).max()
         Y = Z
         if res <= tol:
             return Y, it
-        # one reduction: NaN fails the comparison, so it also catches NaN and inf
-        if not (np.max(np.abs(Y)) <= _DIVERGENCE_LIMIT):
+        # NaN fails the comparison, so a NaN or inf iterate is a blow-up too
+        if not (res <= _DIVERGENCE_LIMIT):
             raise Divergence(f"stage iterates diverged at h={h}")
-        F = _stage_field(sys, Y)
     raise NonConvergence(
         f"stage residual {res:.3e} > {tol:.3e} after {cfg.max_stage_iters} iterations (h={h})"
     )
@@ -223,14 +231,18 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
     if _depth < _MAX_HALVINGS:
         r1 = equip_step(s, sys, y, 0.5 * h, cfg, alpha_prev, t, _depth + 1)
         r2 = equip_step(s, sys, r1.state.y, 0.5 * h, cfg, r1.alpha, t + 0.5 * h, _depth + 1)
-        return StepRecord(
-            state=State(t=t + h, y=r2.state.y), h=h, alpha=r2.alpha,
-            stage_iters=r1.stage_iters + r2.stage_iters,
-            alpha_iters=r1.alpha_iters + r2.alpha_iters,
-            flagged=r1.flagged or r2.flagged,
-        )
+        return _combined(State(t=t + h, y=r2.state.y), h, (r1, r2))
     rec = rk_step(build_equip_tableau(s, 0.0), sys, y, h, cfg, t=t)
     return replace(rec, flagged=True)
+
+
+def _driver_tableau(method: MethodSpec) -> ButcherTableau | None:
+    """The tableau a driver steps with; None for EQUIP, which builds one per alpha."""
+    if method.kind != "equip":
+        return build_tableau(method)
+    if method.s == 1:  # no alpha to tune, so every energy secant would stall
+        raise ValueError(f"{method} has no alpha to tune; use gauss:s=1")
+    return None
 
 
 def _single_step(method: MethodSpec, tab, sys, y, h, cfg, t, alpha_prev) -> StepRecord:
@@ -245,7 +257,7 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
     """Apply n_steps constant-h steps; returns one record per step."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    tab = None if method.kind == "equip" else build_tableau(method)
+    tab = _driver_tableau(method)
     y = np.asarray(y0, dtype=float)
     alpha_prev = 0.0
     records = []
@@ -273,12 +285,7 @@ def _attempt_step(method, tab, sys, y, h, cfg, t, alpha_prev):
                          t + 0.5 * h, half1.alpha)
     p = method.order
     err = float(np.max(np.abs(full.state.y - half2.state.y))) / (2.0 ** p - 1.0)
-    return StepRecord(
-        state=half2.state, h=h, alpha=half2.alpha,
-        stage_iters=full.stage_iters + half1.stage_iters + half2.stage_iters,
-        alpha_iters=full.alpha_iters + half1.alpha_iters + half2.alpha_iters,
-        err_est=err, flagged=full.flagged or half1.flagged or half2.flagged,
-    )
+    return _combined(half2.state, h, (full, half1, half2), err)
 
 
 def propose_factor(err_est: float, tol: float, p: int) -> float:
@@ -313,7 +320,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
         raise ValueError("tol must be positive")
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
-    tab = None if method.kind == "equip" else build_tableau(method)
+    tab = _driver_tableau(method)
     p = method.order
     y = np.asarray(y0, dtype=float)
     t = t0

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import geork
 from geork.cli import MethodParseError, main, parse_method, parse_method_list
 from geork.tableau import MethodSpec
 
@@ -110,6 +116,27 @@ def test_run_requires_steps_with_h(tmp_path, capsys):
     assert "--steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode,extra", [
+    (["--h", "0.1", "--steps", "3"], ["--periods", "2"]),
+    (["--tol", "1e-8", "--periods", "1"], ["--steps", "3"]),
+], ids=["periods-with-h", "steps-with-tol"])
+def test_run_rejects_the_other_modes_option(mode, extra, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["run", "--method", "gauss:s=3", *mode, *extra, "--out", str(out)])
+    assert rc == 1
+    assert extra[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_equip1_tableau_prints_but_does_not_run(tmp_path, capsys):
+    assert main(["tableau", "--method", "equip:s=1"]) == 0
+    capsys.readouterr()
+    rc = main(["run", "--method", "equip:s=1", "--h", "0.1", "--steps", "3",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "equip:s=1" in capsys.readouterr().err
+
+
 def test_convergence_subcommand(tmp_path, capsys):
     prefix = tmp_path / "conv"
     rc = main(["convergence", "--methods", "gauss:s=3", "--periods", "1",
@@ -163,6 +190,15 @@ def test_tableau_rejects_alpha_without_effect(method, capsys):
     assert "--alpha has no effect" in captured.err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_tableau_rejects_non_finite_alpha(alpha, capsys):
+    rc = main(["tableau", "--method", "equip:s=3", "--alpha", alpha])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha" in captured.err
+
+
 def test_tableau_alpha_reaches_equip(capsys):
     assert main(["tableau", "--method", "equip:s=2", "--alpha", "0.7", "--csv"]) == 0
     assert "# alpha 0.69999999999999996" in capsys.readouterr().out
@@ -181,3 +217,14 @@ def test_unwritable_output_diagnostic(tmp_path, capsys):
                "--out", str(tmp_path / "missing-dir" / "x.csv")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warnings():
+    # python -m geork.cli must not find geork.cli already imported by the package
+    env = {**os.environ, "PYTHONPATH": str(Path(geork.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "geork.cli", "tableau", "--method", "gauss:s=1",
+         "--csv"], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("# method gauss\n")

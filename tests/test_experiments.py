@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geork.dynamics import kepler_system, quartic_oscillator
+from geork.dynamics import HamiltonianSystem, State, kepler_system, quartic_oscillator
 from geork.experiments import (
     PERIOD,
     ConvergenceResult,
@@ -248,6 +248,31 @@ def test_step_csv_one_degree_problem(tmp_path, cfg):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,q1,p1,h,alpha,stage_iters,err_H"
     assert len(lines) == 4
+
+
+def _planar_harmonic():
+    """H = |y|^2 / 2 in two degrees of freedom, with H as its only invariant."""
+    def energy(y):
+        return 0.5 * np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
+
+    sys = HamiltonianSystem(name="planar-harmonic", half_dim=2, energy=energy,
+                            gradient=lambda y: np.asarray(y, dtype=float),
+                            invariants={"H": energy})
+    return sys, State(t=0.0, y=np.array([1.0, 0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("problem,errs", [
+    ("harmonic", "err_H"), ("planar-harmonic", "err_H"), ("kepler", "err_H,err_L"),
+])
+def test_step_csv_error_columns_follow_invariants(problem, errs, harmonic, tmp_path, cfg):
+    sys, state0 = {"harmonic": harmonic, "planar-harmonic": _planar_harmonic(),
+                   "kepler": kepler_system(0.6)}[problem]
+    recs = integrate_fixed(GAUSS2, sys, state0.y, 0.1, 2, cfg)
+    path = tmp_path / "steps.csv"
+    write_step_csv(recs, path, sys, state0.y)
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(",stage_iters," + errs)
+    assert all(len(row.split(",")) == len(lines[0].split(",")) for row in lines[1:])
 
 
 def test_convergence_csv_cardinality(tmp_path, small_study):

@@ -35,8 +35,8 @@ def stage_residual(tab, sys, y, h, Y):
     return float(np.max(np.abs(Y - (y + h * tab.A @ F))))
 
 
-def trapped_system(traps):
-    """H = 0, so the field vanishes, except that it is inf on the calls in traps.
+def trapped_system(traps, value=np.inf):
+    """H = 0, so the field vanishes, except that it is value on the calls in traps.
 
     A zero field converges the stage solve on its first iteration, so each
     step evaluates the field twice: the stage solve on odd calls (1, 3, ...)
@@ -46,7 +46,7 @@ def trapped_system(traps):
 
     def gradient(y):
         y = np.asarray(y, dtype=float)
-        return np.full_like(y, np.inf if next(calls) in traps else 0.0)
+        return np.full_like(y, value if next(calls) in traps else 0.0)
 
     def energy(y):
         return np.zeros(np.shape(y)[:-1])
@@ -133,6 +133,15 @@ def test_nonconvergence_signalled(cfg):
     starved = SolverConfig(max_stage_iters=2)
     with pytest.raises(NonConvergence):
         solve_stages(build_gauss(3), sys, state0.y, T / 100, starved)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e12])
+def test_stage_solve_divergence_on_blown_up_iterate(value, cfg):
+    # field call 1 is the stage solve's first iteration; its residual is
+    # inf, NaN (inf - inf in the matmul) or far beyond the divergence limit
+    with np.errstate(invalid="ignore"), pytest.raises(Divergence, match="diverged"):
+        solve_stages(build_gauss(2), trapped_system({1}, value), np.array([1.0, 0.0]),
+                     0.1, cfg)
 
 
 def test_solver_config_validation():
@@ -277,6 +286,20 @@ def test_non_finite_update_is_divergence(method, cfg):
     y0 = np.array([1.0, 0.0])
     with pytest.raises(Divergence, match="step 1"):
         integrate_fixed(method, trapped_system({4}), y0, 0.1, 3, cfg)
+
+
+def test_drivers_reject_equip1_before_any_solve(cfg):
+    def untouchable(y):
+        raise AssertionError("the problem was evaluated")
+
+    sys = HamiltonianSystem(name="untouchable", half_dim=1, energy=untouchable,
+                            gradient=untouchable, invariants={"H": untouchable})
+    y0 = np.array([1.0, 0.0])
+    equip1 = MethodSpec("equip", 1)
+    with pytest.raises(ValueError, match="equip:s=1"):
+        integrate_fixed(equip1, sys, y0, 0.1, 3, cfg)
+    with pytest.raises(ValueError, match="equip:s=1"):
+        integrate_adaptive(equip1, sys, y0, 1.0, 1e-8, cfg)
 
 
 def test_fixed_driver_determinism(cfg):
