@@ -7,7 +7,11 @@ iteration that tunes the tableau parameter alpha until the step conserves the
 energy.  Within one step each secant evaluation starts its stage iteration
 from the previous evaluation's converged stages, which differ from the new
 ones only by O(delta alpha); the first evaluation of a step starts from y.
-A non-finite step result raises Divergence, like a diverging stage solve.
+When an evaluation's stage solve fails, the secant stalls (zero or
+non-finite denominator, non-finite alpha) or the evaluation budget runs out,
+the step falls back to two half-steps, and after five nested halvings to the
+plain Gauss step, flagged.  A non-finite step result raises Divergence out of
+the step, EQUIP or not; the fallback does not catch it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ __all__ = [
     "IntegrationError",
     "NonConvergence",
     "Divergence",
-    "AlphaNotFound",
     "MinStepReached",
     "SolverConfig",
     "StepRecord",
@@ -52,10 +55,6 @@ class NonConvergence(IntegrationError):
 
 class Divergence(IntegrationError):
     """Stage iterates blew up or left the vector field's domain."""
-
-
-class AlphaNotFound(IntegrationError):
-    """The EQUIP energy-residual root solve failed within its budget."""
 
 
 class MinStepReached(IntegrationError):
@@ -163,52 +162,9 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
     )
 
 
-def _equip_root_solve(s, sys, y, h, cfg, alpha_prev):
-    """Secant iteration on g(alpha) = H(y_next(alpha)) - H(y).
-
-    Each evaluation after the first starts its stage iteration from the
-    previous evaluation's stages (None until one has converged).
-    """
-    H0 = float(sys.energy(y))
-    gtol = cfg.alpha_tol * (1.0 + abs(H0))
-    evals = 0
-    stage_iters = 0
-    Y_prev = None
-
-    def g(alpha):
-        nonlocal evals, stage_iters, Y_prev
-        if evals >= cfg.max_alpha_iters:
-            raise AlphaNotFound(
-                f"no conserving alpha within {cfg.max_alpha_iters} evaluations (h={h})"
-            )
-        tab = build_equip_tableau(s, alpha)
-        try:
-            Y, iters = solve_stages(tab, sys, y, h, cfg, Y_prev)
-        except (NonConvergence, Divergence) as exc:
-            raise AlphaNotFound(f"stage solve failed at alpha={alpha}: {exc}") from exc
-        evals += 1
-        stage_iters += iters
-        Y_prev = Y
-        y_next = _update(tab, sys, y, h, Y)
-        return float(sys.energy(y_next)) - H0, y_next
-
-    a0 = alpha_prev
-    g0, yn = g(a0)
-    if abs(g0) <= gtol:
-        return a0, yn, evals, stage_iters
-    a1 = a0 + _SECANT_PROBE
-    g1, yn = g(a1)
-    while abs(g1) > gtol:
-        denom = g1 - g0
-        if denom == 0.0 or not np.isfinite(denom):
-            raise AlphaNotFound(f"secant stalled at alpha={a1}, g={g1:.3e} (h={h})")
-        a2 = a1 - g1 * (a1 - a0) / denom
-        if not np.isfinite(a2):
-            raise AlphaNotFound(f"secant produced non-finite alpha (h={h})")
-        a0, g0 = a1, g1
-        a1 = a2
-        g1, yn = g(a1)
-    return a1, yn, evals, stage_iters
+def _reject_equip1(s: int) -> None:
+    if s == 1:  # no alpha to tune, so every energy secant would stall
+        raise ValueError("equip:s=1 has no alpha to tune; use gauss:s=1")
 
 
 def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
@@ -216,18 +172,37 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
                _depth: int = 0) -> StepRecord:
     """EQUIP step: tune alpha so the step conserves H, then advance h.
 
-    If the root solve fails the step is retried as two half-steps (up to
-    5 nested halvings); as a last resort the plain Gauss step (alpha = 0) is
-    taken and the record flagged, so missing conservation is always reported.
+    The secant on H(y_next(alpha)) - H(y) starts from alpha_prev.  If it fails
+    the step is retried as two half-steps (up to 5 nested halvings); as a last
+    resort the plain Gauss step (alpha = 0) is taken and the record flagged,
+    so missing conservation is always reported.
     """
-    try:
-        alpha, y_next, a_iters, s_iters = _equip_root_solve(s, sys, y, h, cfg, alpha_prev)
-        return StepRecord(
-            state=State(t=t + h, y=y_next), h=h, alpha=alpha,
-            stage_iters=s_iters, alpha_iters=a_iters,
-        )
-    except AlphaNotFound:
-        pass
+    _reject_equip1(s)
+    H0 = float(sys.energy(y))
+    gtol = cfg.alpha_tol * (1.0 + abs(H0))
+    alpha, stage_iters, Y = alpha_prev, 0, None
+    for evals in range(1, cfg.max_alpha_iters + 1):
+        tab = build_equip_tableau(s, alpha)
+        try:
+            Y, iters = solve_stages(tab, sys, y, h, cfg, Y)
+        except (NonConvergence, Divergence):
+            break
+        stage_iters += iters
+        y_next = _update(tab, sys, y, h, Y)
+        g = float(sys.energy(y_next)) - H0
+        if abs(g) <= gtol:
+            return StepRecord(state=State(t=t + h, y=y_next), h=h, alpha=alpha,
+                              stage_iters=stage_iters, alpha_iters=evals)
+        if evals == 1:
+            alpha_next = alpha + _SECANT_PROBE
+        else:
+            denom = g - g_old
+            if denom == 0.0 or not np.isfinite(denom):
+                break
+            alpha_next = alpha - g * (alpha - alpha_old) / denom
+            if not np.isfinite(alpha_next):
+                break
+        alpha_old, g_old, alpha = alpha, g, alpha_next
     if _depth < _MAX_HALVINGS:
         r1 = equip_step(s, sys, y, 0.5 * h, cfg, alpha_prev, t, _depth + 1)
         r2 = equip_step(s, sys, r1.state.y, 0.5 * h, cfg, r1.alpha, t + 0.5 * h, _depth + 1)
@@ -240,8 +215,7 @@ def _driver_tableau(method: MethodSpec) -> ButcherTableau | None:
     """The tableau a driver steps with; None for EQUIP, which builds one per alpha."""
     if method.kind != "equip":
         return build_tableau(method)
-    if method.s == 1:  # no alpha to tune, so every energy secant would stall
-        raise ValueError(f"{method} has no alpha to tune; use gauss:s=1")
+    _reject_equip1(method.s)
     return None
 
 
@@ -316,10 +290,10 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     the clamped controller factor.  h is confined to [1e-8, t_end - t] and the
     final step is shortened to land exactly on t_end.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
+    if not tol > 0:  # NaN fails every comparison
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not t0 < t_end < np.inf:
+        raise ValueError(f"t_end must be finite and exceed t0, got t0={t0}, t_end={t_end}")
     tab = _driver_tableau(method)
     p = method.order
     y = np.asarray(y0, dtype=float)

@@ -34,11 +34,8 @@ _ROOT_MAX_ITERS = 100
 def _legendre_pair(n: int, x):
     """Values (L_n(x), L_{n-1}(x)) of the classical Legendre polynomials on [-1, 1]."""
     x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
-    p = x.copy()
-    for m in range(2, n + 1):
+    p, p_prev = np.ones_like(x), np.zeros_like(x)
+    for m in range(1, n + 1):
         p, p_prev = ((2 * m - 1) * x * p - (m - 1) * p_prev) / m, p
     return p, p_prev
 
@@ -80,17 +77,18 @@ def gauss_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [0, 1].
 
     Roots of the degree-n Legendre polynomial are found by Newton iteration
-    from Chebyshev initial guesses; only one half is computed and the rule is
-    mirrored so that node/weight symmetry about 1/2 holds exactly.
+    from Chebyshev initial guesses; only the roots x >= 0 are computed and the
+    rule is mirrored so that node/weight symmetry about 1/2 holds exactly.
     """
     if n < 1 or n > MAX_NODES:
         raise ValueError(f"node count must be in 1..{MAX_NODES}, got {n}")
 
-    half = n // 2
-    low = np.empty(half)
-    w_half = np.empty(half)
-    for i in range(half):
-        # positive roots, outermost first
+    n_low = (n + 1) // 2
+    low = np.empty(n_low)
+    w_low = np.empty(n_low)
+    for i in range(n_low):
+        # roots x >= 0, outermost first; for odd n the last guess is
+        # cos(pi/2) and Newton lands on the middle root x = 0
         x = np.cos(np.pi * (i + 0.75) / (n + 0.5))
         for _ in range(_ROOT_MAX_ITERS):
             p, p_prev = _legendre_pair(n, x)
@@ -101,19 +99,12 @@ def gauss_rule(n: int) -> QuadratureRule:
         p, p_prev = _legendre_pair(n, x)
         dp = n * (x * p - p_prev) / (x * x - 1.0)
         low[i] = 0.5 * (1.0 - x)
-        w_half[i] = 1.0 / ((1.0 - x * x) * dp * dp)
+        w_low[i] = 1.0 / ((1.0 - x * x) * dp * dp)
 
-    # mirror the computed half so node/weight symmetry about 1/2 is exact
-    if n % 2:
-        _, p_prev = _legendre_pair(n, 0.0)
-        dp = -float(n) * float(p_prev)  # L_n'(0) from the derivative identity
-        mid_w = np.array([1.0 / (dp * dp)])
-        nodes = np.concatenate([low, np.array([0.5]), (1.0 - low)[::-1]])
-        weights = np.concatenate([w_half, mid_w, w_half[::-1]])
-    else:
-        nodes = np.concatenate([low, (1.0 - low)[::-1]])
-        weights = np.concatenate([w_half, w_half[::-1]])
-
+    # mirror the off-middle roots so node/weight symmetry about 1/2 is exact
+    half = n // 2
+    nodes = np.concatenate([low, (1.0 - low[:half])[::-1]])
+    weights = np.concatenate([w_low, w_low[:half][::-1]])
     return QuadratureRule(n_nodes=n, nodes=nodes, weights=weights)
 
 

@@ -4,10 +4,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import geork
 from geork.cli import MethodParseError, main, parse_method, parse_method_list
-from geork.tableau import MethodSpec
+from geork.tableau import KINDS, MethodSpec
+
+method_specs = st.builds(
+    lambda kind, s, extra: MethodSpec(kind, s, s + extra if kind == "hbvm" else None),
+    st.sampled_from(KINDS), st.integers(1, 64), st.integers(0, 64),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +53,11 @@ def test_parse_method_errors():
         parse_method("hbvm:k=6,s=3,K=9")
 
 
-def test_round_trip():
-    for text in ("gauss:s=3", "hbvm:k=12,s=3", "equip:s=3"):
-        assert str(parse_method(text)) == text
+@given(st.lists(method_specs, min_size=1, max_size=4))
+def test_round_trip(specs):
+    for spec in specs:
+        assert parse_method(str(spec)) == spec
+    assert parse_method_list(",".join(map(str, specs))) == specs
 
 
 def test_parse_method_list_groups_on_kind():

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geork.dynamics import (
     HamiltonianSystem, angular_momentum, canonical_field, kepler_reference, kepler_system,
@@ -183,16 +184,22 @@ def test_gauss3_order_six_over_one_period(cfg):
     assert 5.5 <= slope <= 6.5
 
 
-def test_gauss_reversibility(cfg):
+@settings(deadline=None)
+@given(s=st.integers(1, 6), alpha=st.floats(-0.2, 0.2), h=st.floats(0.005, 0.1),
+       t=st.floats(0.0, T))
+def test_gauss_reversibility(s, alpha, h, t):
+    # EQUIP(s, alpha) is symmetric for every alpha (alpha = 0 is Gauss(s)):
+    # A + P A P = 1 b^T with P the node reversal, so stepping back by -h
+    # returns to the start up to the stage tolerance
+    cfg = SolverConfig()
     sys, _ = kepler_system(0.6)
-    rng = np.random.default_rng(17)
-    for s in (2, 3):
-        tab = build_gauss(s)
-        for t in rng.uniform(0, T, size=3):
-            y = kepler_reference(0.6, t)
-            fwd = rk_step(tab, sys, y, 0.05, cfg)
-            back = rk_step(tab, sys, fwd.state.y, -0.05, cfg)
-            assert np.max(np.abs(back.state.y - y)) <= 10 * cfg.stage_tol
+    tab = build_equip_tableau(s, alpha)
+    P = np.eye(s)[::-1]
+    assert np.max(np.abs(tab.A + P @ tab.A @ P - np.outer(np.ones(s), tab.b))) <= 1e-14
+    y = kepler_reference(0.6, t)
+    fwd = rk_step(tab, sys, y, h, cfg)
+    back = rk_step(tab, sys, fwd.state.y, -h, cfg)
+    assert np.max(np.abs(back.state.y - y)) <= 10 * cfg.stage_tol
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +245,21 @@ def test_equip_flagged_fallback():
     assert rec.state.t == pytest.approx(h)
     plain = integrate_fixed(GAUSS3, sys, state0.y, h / 32, 32, SolverConfig(alpha_tol=1e-30))
     np.testing.assert_allclose(rec.state.y, plain[-1].state.y, atol=1e-12)
+
+
+def test_equip_failed_stage_solve_halves_but_non_finite_update_escapes(cfg):
+    # field call 1 is the first secant evaluation's stage solve: it diverges,
+    # so the step is retried as two half-steps of one evaluation each
+    y0 = np.array([1.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        rec = equip_step(3, trapped_system({1}), y0, 0.1, cfg)
+    assert rec.state.t == pytest.approx(0.1)
+    assert (rec.alpha_iters, rec.stage_iters, rec.flagged) == (2, 2, False)
+    np.testing.assert_array_equal(rec.state.y, y0)
+    # field call 3 is the first half-step's update; a non-finite step result
+    # is not a failed secant evaluation and leaves the step
+    with np.errstate(invalid="ignore"), pytest.raises(Divergence, match="non-finite"):
+        equip_step(3, trapped_system({1, 3}), y0, 0.1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +322,9 @@ def test_drivers_reject_equip1_before_any_solve(cfg):
         integrate_fixed(equip1, sys, y0, 0.1, 3, cfg)
     with pytest.raises(ValueError, match="equip:s=1"):
         integrate_adaptive(equip1, sys, y0, 1.0, 1e-8, cfg)
+    # so does the EQUIP step itself
+    with pytest.raises(ValueError, match="equip:s=1"):
+        equip_step(1, sys, y0, 0.1, cfg)
 
 
 def test_fixed_driver_determinism(cfg):
@@ -397,10 +422,11 @@ def test_adaptive_determinism(cfg):
 
 def test_adaptive_validates_inputs(harmonic, cfg):
     sys, state0 = harmonic
-    with pytest.raises(ValueError):
-        integrate_adaptive(GAUSS3, sys, state0.y, 1.0, -1e-8, cfg)
-    with pytest.raises(ValueError):
-        integrate_adaptive(GAUSS3, sys, state0.y, 0.0, 1e-8, cfg)
+    # an infinite t_end would never return and a NaN one would return no steps
+    for t_end, tol in ((1.0, -1e-8), (0.0, 1e-8), (np.nan, 1e-8), (np.inf, 1e-8),
+                       (1.0, np.nan)):
+        with pytest.raises(ValueError):
+            integrate_adaptive(GAUSS3, sys, state0.y, t_end, tol, cfg)
 
 
 def test_initial_stepsize_clamps(harmonic):
