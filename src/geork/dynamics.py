@@ -1,6 +1,6 @@
 """Hamiltonian test problems: canonical vector fields, invariants, references.
 
-State layout is (q_1..q_m, p_1..p_m).  Energy and gradient callables accept
+State layout is (q_1..q_m, p_1..p_m).  Energy and field callables accept
 arrays of shape (..., 2m) and broadcast over leading axes, so a whole stack of
 stage vectors can be evaluated in one call.
 """
@@ -23,7 +23,7 @@ __all__ = [
     "quartic_oscillator",
 ]
 
-# Kepler gradient guard: periapsis distance at e = 0.99 is 0.01, so states of
+# Kepler field guard: periapsis distance at e = 0.99 is 0.01, so states of
 # a healthy run never get anywhere near this radius
 _MIN_RADIUS = 1e-8
 
@@ -43,7 +43,7 @@ class State:
     y: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.y)):
+        if not np.isfinite(self.y).all():
             raise ValueError(f"non-finite state at t={self.t}")
 
 
@@ -51,45 +51,46 @@ class State:
 class HamiltonianSystem:
     """Canonical Hamiltonian problem of dimension 2 * half_dim.
 
-    ``invariants`` maps short names to scalar functions of the state and
-    always contains the energy under "H".
+    ``field`` is the canonical vector field (dH/dp, -dH/dq), which raises
+    DomainError outside the problem's domain.  ``invariants`` maps short names
+    to scalar functions of the state and always contains the energy under "H".
     """
 
     name: str
     half_dim: int
     energy: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    field: Callable[[np.ndarray], np.ndarray]
     invariants: dict[str, Callable[[np.ndarray], np.ndarray]]
     poly_degree: int | None = None
+
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        """(dH/dq, dH/dp), read off the field (negation is exact)."""
+        f, m = self.field(y), self.half_dim
+        return np.concatenate([-f[..., m:], f[..., :m]], axis=-1)
 
 
 def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
     """Vector field of the canonical equations: (dH/dp, -dH/dq)."""
-    g = sys.gradient(y)
-    m = sys.half_dim
-    return np.concatenate([g[..., m:], -g[..., :m]], axis=-1)
+    return sys.field(y)
 
 
 def _kepler_energy(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    q, p = y[..., :2], y[..., 2:]
-    r = np.sqrt(np.sum(q * q, axis=-1))
-    return 0.5 * np.sum(p * p, axis=-1) - 1.0 / r
+    q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    return 0.5 * (p1 * p1 + p2 * p2) - 1.0 / np.sqrt(q1 * q1 + q2 * q2)
 
 
-def _kepler_gradient(y: np.ndarray) -> np.ndarray:
+def _kepler_field(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    q1, q2 = y[..., 0], y[..., 1]
-    r2 = q1 * q1 + q2 * q2
+    r2 = y[..., 0] ** 2 + y[..., 1] ** 2
     # NaN fails the comparison, so a NaN state is rejected as well
-    if not (np.min(r2) >= _MIN_RADIUS**2):
-        raise DomainError(f"kepler gradient evaluated at radius < {_MIN_RADIUS} or at NaN")
-    k = r2**-1.5
-    g = np.empty_like(y)
-    g[..., 0] = q1 * k
-    g[..., 1] = q2 * k
-    g[..., 2:] = y[..., 2:]
-    return g
+    if not (r2.min() >= _MIN_RADIUS**2):
+        raise DomainError(f"kepler field evaluated at radius < {_MIN_RADIUS} or at NaN")
+    f = np.empty_like(y)
+    f[..., :2] = y[..., 2:]
+    # np.power: for one state r2 is a NumPy scalar, whose ** may round unlike a stack's
+    f[..., 2:] = y[..., :2] * (-np.power(r2, -1.5))[..., None]
+    return f
 
 
 def angular_momentum(y: np.ndarray) -> np.ndarray:
@@ -139,7 +140,7 @@ def kepler_system(e: float) -> tuple[HamiltonianSystem, State]:
         name="kepler",
         half_dim=2,
         energy=_kepler_energy,
-        gradient=_kepler_gradient,
+        field=_kepler_field,
         invariants={"H": _kepler_energy, "L": angular_momentum},
     )
     return sys, State(t=0.0, y=y0)
@@ -150,9 +151,12 @@ def _quartic_energy(y: np.ndarray) -> np.ndarray:
     return 0.5 * y[..., 1] ** 2 + 0.25 * y[..., 0] ** 4
 
 
-def _quartic_gradient(y: np.ndarray) -> np.ndarray:
+def _quartic_field(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    return np.stack([y[..., 0] ** 3, y[..., 1]], axis=-1)
+    f = np.empty_like(y)
+    f[..., 0] = y[..., 1]
+    f[..., 1] = -y[..., 0] ** 3
+    return f
 
 
 def quartic_oscillator() -> tuple[HamiltonianSystem, State]:
@@ -161,7 +165,7 @@ def quartic_oscillator() -> tuple[HamiltonianSystem, State]:
         name="quartic",
         half_dim=1,
         energy=_quartic_energy,
-        gradient=_quartic_gradient,
+        field=_quartic_field,
         invariants={"H": _quartic_energy},
         poly_degree=4,
     )

@@ -125,11 +125,11 @@ def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
     """
     if not np.isfinite(h):
         raise ValueError("stepsize must be finite")
-    tol = cfg.stage_tol * (1.0 + np.max(np.abs(y)))
+    tol = cfg.stage_tol * (1.0 + abs(y).max())
     hA = h * tab.A
-    Y = np.tile(y, (tab.n_stages, 1)) if Y0 is None else Y0
+    Y = np.broadcast_to(y, (tab.n_stages, y.size)) if Y0 is None else Y0
     for it in range(1, cfg.max_stage_iters + 1):
-        Z = y[None, :] + hA @ _stage_field(sys, Y)
+        Z = y + hA @ _stage_field(sys, Y)
         res = abs(Y - Z).max()
         Y = Z
         if res <= tol:
@@ -146,7 +146,7 @@ def _update(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, Y: np.ndarray) -> np.ndarray:
     """y_next = y + h sum_i b_i f(Y_i); a non-finite result is a Divergence."""
     y_next = y + h * (tab.b @ _stage_field(sys, Y))
-    if not np.all(np.isfinite(y_next)):
+    if not np.isfinite(y_next).all():
         raise Divergence(f"non-finite step result at h={h}")
     return y_next
 
@@ -156,10 +156,8 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
     """One step of the tableau's method from (t, y) to (t + h, y_next)."""
     Y, iters = solve_stages(tab, sys, y, h, cfg)
     y_next = _update(tab, sys, y, h, Y)
-    return StepRecord(
-        state=State(t=t + h, y=y_next), h=h, alpha=tab.alpha,
-        stage_iters=iters, alpha_iters=0,
-    )
+    return StepRecord(state=State(t=t + h, y=y_next), h=h, alpha=tab.alpha,
+                      stage_iters=iters, alpha_iters=0)
 
 
 def _reject_equip1(s: int) -> None:
@@ -229,8 +227,9 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
                     h: float, n_steps: int, cfg: SolverConfig,
                     t0: float = 0.0) -> list[StepRecord]:
     """Apply n_steps constant-h steps; returns one record per step."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if n_steps < 1 or not 0.0 < h < np.inf:  # NaN fails every comparison
+        raise ValueError("n_steps must be >= 1 and h positive and finite, "
+                         f"got n_steps={n_steps}, h={h}")
     tab = _driver_tableau(method)
     y = np.asarray(y0, dtype=float)
     alpha_prev = 0.0
@@ -257,8 +256,7 @@ def _attempt_step(method, tab, sys, y, h, cfg, t, alpha_prev):
     half1 = _single_step(method, tab, sys, y, 0.5 * h, cfg, t, alpha_prev)
     half2 = _single_step(method, tab, sys, half1.state.y, 0.5 * h, cfg,
                          t + 0.5 * h, half1.alpha)
-    p = method.order
-    err = float(np.max(np.abs(full.state.y - half2.state.y))) / (2.0 ** p - 1.0)
+    err = float(abs(full.state.y - half2.state.y).max()) / (2.0 ** method.order - 1.0)
     return _combined(half2.state, h, (full, half1, half2), err)
 
 
@@ -276,7 +274,7 @@ def initial_stepsize(sys: HamiltonianSystem, y0: np.ndarray, t_span: float) -> f
     an underestimate pollutes the accepted-step statistics with warm-up dust.
     """
     f0 = canonical_field(sys, y0)
-    h = 0.1 * (1.0 + np.max(np.abs(y0))) / (1.0 + np.max(np.abs(f0)))
+    h = 0.1 * (1.0 + abs(y0).max()) / (1.0 + abs(f0).max())
     return float(min(max(h, H_MIN), t_span))
 
 
@@ -295,7 +293,6 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     if not t0 < t_end < np.inf:
         raise ValueError(f"t_end must be finite and exceed t0, got t0={t0}, t_end={t_end}")
     tab = _driver_tableau(method)
-    p = method.order
     y = np.asarray(y0, dtype=float)
     t = t0
     alpha_prev = alpha0
@@ -322,5 +319,5 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
             alpha_prev = info.alpha
         elif h <= H_MIN * (1.0 + 1e-9):
             raise MinStepReached(f"{method}: step rejected at the minimum stepsize (t={t:.6g})")
-        h = max(h * propose_factor(info.err_est, tol, p), H_MIN)
+        h = max(h * propose_factor(info.err_est, tol, method.order), H_MIN)
     return records

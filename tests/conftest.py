@@ -10,9 +10,9 @@ def _harmonic_energy(y):
     return 0.5 * (y[..., 0] ** 2 + y[..., 1] ** 2)
 
 
-def _harmonic_gradient(y):
+def _harmonic_field(y):
     y = np.asarray(y, dtype=float)
-    return np.stack([y[..., 0], y[..., 1]], axis=-1)
+    return np.stack([y[..., 1], -y[..., 0]], axis=-1)
 
 
 def harmonic_oscillator():
@@ -21,7 +21,7 @@ def harmonic_oscillator():
         name="harmonic",
         half_dim=1,
         energy=_harmonic_energy,
-        gradient=_harmonic_gradient,
+        field=_harmonic_field,
         invariants={"H": _harmonic_energy},
     )
     return sys, State(t=0.0, y=np.array([1.0, 0.0]))

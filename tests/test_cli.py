@@ -136,6 +136,15 @@ def test_run_rejects_the_other_modes_option(mode, extra, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("h", ["0", "-0.1", "nan", "inf"])
+def test_run_rejects_non_positive_or_non_finite_h(h, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["run", "--method", "gauss:s=3", f"--h={h}", "--steps", "3", "--out", str(out)])
+    assert rc == 1
+    assert "h=" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_equip1_tableau_prints_but_does_not_run(tmp_path, capsys):
     assert main(["tableau", "--method", "equip:s=1"]) == 0
     capsys.readouterr()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geork.dynamics import (
     DomainError,
@@ -34,6 +35,42 @@ def test_canonical_field_kepler_circular():
     sys, _ = kepler_system(0.0)
     f = canonical_field(sys, np.array([1.0, 0.0, 0.0, 1.0]))
     np.testing.assert_allclose(f, [0.0, 1.0, -1.0, 0.0], atol=1e-15)
+
+
+coords = st.floats(-3.0, 3.0, allow_subnormal=False)
+# Kepler states keep |q| >= 0.05, well inside the field's domain
+kepler_states = st.lists(coords, min_size=4, max_size=4).filter(
+    lambda y: np.hypot(y[0], y[1]) >= 0.05)
+quartic_states = st.lists(coords, min_size=2, max_size=2)
+
+
+@st.composite
+def problem_stacks(draw):
+    """(system, stack of 1-12 states, its gradient by the formula the field replaced)."""
+    if draw(st.booleans()):
+        Y = np.array(draw(st.lists(kepler_states, min_size=1, max_size=12)))
+        q1, q2 = Y[:, 0], Y[:, 1]
+        k = (q1 * q1 + q2 * q2) ** -1.5
+        return kepler_system(0.6)[0], Y, np.stack([q1 * k, q2 * k, Y[:, 2], Y[:, 3]], axis=-1)
+    Y = np.array(draw(st.lists(quartic_states, min_size=1, max_size=12)))
+    return quartic_oscillator()[0], Y, np.stack([Y[:, 0] ** 3, Y[:, 1]], axis=-1)
+
+
+@settings(deadline=None)
+@given(problem_stacks())
+def test_field_properties(problem):
+    sys, Y, grad = problem
+    m = sys.half_dim
+    F = sys.field(Y)
+    # a stack evaluates exactly as its rows do one at a time
+    assert F.tobytes() == np.stack([sys.field(y) for y in Y]).tobytes()
+    # gradient() reads (dH/dq, dH/dp) off the field: (q r^-3, p) and (q^3, p)
+    assert sys.gradient(Y).tobytes() == grad.tobytes()
+    # the field is (dH/dp, -dH/dq) of the energy, by central differences
+    for y, f in zip(Y, F):
+        dH = fd_gradient(sys.energy, y)
+        np.testing.assert_allclose(f, np.concatenate([dH[m:], -dH[:m]]),
+                                   rtol=1e-6, atol=1e-6 * (1.0 + np.max(np.abs(f))))
 
 
 @pytest.mark.parametrize("make", [lambda: kepler_system(0.6), quartic_oscillator])
@@ -99,11 +136,13 @@ def test_kepler_gradient_guards_collision():
     sys, _ = kepler_system(0.6)
     healthy = [1.0, 0.0, 0.0, 1.0]
     for bad in ([1e-9, 0.0, 0.0, 1.0], [0.7e-8, 0.7e-8, 0.0, 1.0], [np.nan, 0.0, 0.0, 1.0]):
-        with pytest.raises(DomainError):
-            sys.gradient(np.array(bad))
-        # one bad row in a stack of stage vectors is enough
-        with pytest.raises(DomainError):
-            sys.gradient(np.array([healthy, bad]))
+        for evaluate in (sys.field, sys.gradient):
+            with pytest.raises(DomainError):
+                evaluate(np.array(bad))
+            # one bad row in a stack of stage vectors is enough, wherever it sits
+            for stack in ([healthy, bad], [bad, healthy], [healthy, bad, healthy]):
+                with pytest.raises(DomainError):
+                    evaluate(np.array(stack))
 
 
 def test_reference_recovers_initial_state():

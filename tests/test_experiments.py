@@ -255,9 +255,12 @@ def _planar_harmonic():
     def energy(y):
         return 0.5 * np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
 
+    def field(y):
+        y = np.asarray(y, dtype=float)
+        return np.concatenate([y[..., 2:], -y[..., :2]], axis=-1)
+
     sys = HamiltonianSystem(name="planar-harmonic", half_dim=2, energy=energy,
-                            gradient=lambda y: np.asarray(y, dtype=float),
-                            invariants={"H": energy})
+                            field=field, invariants={"H": energy})
     return sys, State(t=0.0, y=np.array([1.0, 0.0, 0.0, 1.0]))
 
 

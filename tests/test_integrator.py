@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geork import integrator
 from geork.dynamics import (
     HamiltonianSystem, angular_momentum, canonical_field, kepler_reference, kepler_system,
     quartic_oscillator,
@@ -45,7 +46,7 @@ def trapped_system(traps, value=np.inf):
     """
     calls = itertools.count(1)
 
-    def gradient(y):
+    def field(y):
         y = np.asarray(y, dtype=float)
         return np.full_like(y, value if next(calls) in traps else 0.0)
 
@@ -53,7 +54,16 @@ def trapped_system(traps, value=np.inf):
         return np.zeros(np.shape(y)[:-1])
 
     return HamiltonianSystem(name="trapped", half_dim=1, energy=energy,
-                             gradient=gradient, invariants={"H": energy})
+                             field=field, invariants={"H": energy})
+
+
+def untouchable_system():
+    """A problem whose every evaluation fails the test."""
+    def untouchable(y):
+        raise AssertionError("the problem was evaluated")
+
+    return HamiltonianSystem(name="untouchable", half_dim=1, energy=untouchable,
+                             field=untouchable, invariants={"H": untouchable})
 
 
 def step_doubling_error(method, sys, y, h, cfg):
@@ -266,6 +276,27 @@ def test_equip_failed_stage_solve_halves_but_non_finite_update_escapes(cfg):
 # fixed driver
 
 
+def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg):
+    # the benchmark's tracer counts field evaluations by wrapping this name;
+    # a step that called sys.field directly would hide them from it
+    calls = []
+    field = integrator.canonical_field
+
+    def counted(sys, y):
+        calls.append(y.shape)
+        return field(sys, y)
+
+    monkeypatch.setattr(integrator, "canonical_field", counted)
+    sys, state0 = kepler_system(0.6)
+    rec = rk_step(build_gauss(3), sys, state0.y, T / 100, cfg)
+    assert len(calls) == rec.stage_iters + 1
+    # each alpha evaluation is one stage solve plus one update
+    calls.clear()
+    rec = equip_step(3, sys, state0.y, T / 100, cfg)
+    assert rec.alpha_iters > 1 and not rec.flagged
+    assert len(calls) == rec.stage_iters + rec.alpha_iters
+
+
 def test_single_step_matches_driver(cfg):
     sys, state0 = kepler_system(0.6)
     recs = integrate_fixed(GAUSS3, sys, state0.y, 0.1, 1, cfg)
@@ -295,6 +326,35 @@ def test_quartic_polynomial_exact_conservation(cfg):
     assert np.max(np.abs(sys.energy(ys) - 0.25)) <= 1e-12
 
 
+def quartic_energy_drift(s, k, h, cfg, n=50):
+    """Max |H - H0| over n HBVM(k, s) steps on the quartic, and the exactness bound.
+
+    When k >= poly_degree * s / 2 = 2s the method conserves the quartic energy
+    exactly, so only the stage solve loses energy: each step's stages miss the
+    fixed point by about stage_tol * (1 + |y|), and with |grad H| <= 1 and
+    h * L <= 0.6 on this orbit a step can lose no more than that.
+    """
+    sys, state0 = quartic_oscillator()
+    recs = integrate_fixed(MethodSpec("hbvm", s, k), sys, state0.y, h, n, cfg)
+    drift = np.max(np.abs(sys.energy(np.stack([r.state.y for r in recs])) - 0.25))
+    return drift, n * cfg.stage_tol * (1.0 + np.max(np.abs(state0.y)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(s=st.integers(1, 3), extra=st.integers(0, 4), h=st.floats(0.01, 0.2))
+def test_hbvm_conserves_polynomial_energy(s, extra, h):
+    k = quartic_oscillator()[0].poly_degree * s // 2 + extra
+    drift, bound = quartic_energy_drift(s, k, h, SolverConfig())
+    assert drift <= bound
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_hbvm_without_enough_nodes_breaks_the_energy_bound(s, cfg):
+    # HBVM(s, s) is Gauss(s), which conserves no quartic energy
+    drift, bound = quartic_energy_drift(s, s, 0.2, cfg)
+    assert drift > bound
+
+
 def test_fixed_driver_reports_failing_step(cfg):
     sys, state0 = kepler_system(0.6)
     starved = SolverConfig(max_stage_iters=2)
@@ -311,11 +371,7 @@ def test_non_finite_update_is_divergence(method, cfg):
 
 
 def test_drivers_reject_equip1_before_any_solve(cfg):
-    def untouchable(y):
-        raise AssertionError("the problem was evaluated")
-
-    sys = HamiltonianSystem(name="untouchable", half_dim=1, energy=untouchable,
-                            gradient=untouchable, invariants={"H": untouchable})
+    sys = untouchable_system()
     y0 = np.array([1.0, 0.0])
     equip1 = MethodSpec("equip", 1)
     with pytest.raises(ValueError, match="equip:s=1"):
@@ -325,6 +381,12 @@ def test_drivers_reject_equip1_before_any_solve(cfg):
     # so does the EQUIP step itself
     with pytest.raises(ValueError, match="equip:s=1"):
         equip_step(1, sys, y0, 0.1, cfg)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+def test_fixed_driver_rejects_bad_h_before_any_solve(h, cfg):
+    with pytest.raises(ValueError, match=f"h={h}"):
+        integrate_fixed(GAUSS3, untouchable_system(), np.array([1.0, 0.0]), h, 3, cfg)
 
 
 def test_fixed_driver_determinism(cfg):
