@@ -140,6 +140,8 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
     final-state deviation from the analytic orbit, energy and momentum errors
     are the max deviation over the whole run.
     """
+    if periods < 1:
+        raise ValueError(f"the convergence campaign needs periods >= 1, got periods={periods}")
     sys, state0 = kepler_system(e)
     y0 = state0.y
     total = periods * PERIOD
@@ -242,6 +244,8 @@ def drift_reports(method: MethodSpec, per_period, sys: HamiltonianSystem, y0,
 
 def drift_study(methods, e: float, periods: int, tol: float, cfg: SolverConfig):
     """Adaptive Kepler campaign; one DriftReport per (method, invariant)."""
+    if periods < 3:
+        raise ValueError(f"drift verdicts need periods >= 3, got periods={periods}")
     sys, state0 = kepler_system(e)
     reports = []
     for method in methods:
@@ -254,6 +258,16 @@ def drift_study(methods, e: float, periods: int, tol: float, cfg: SolverConfig):
 # persistence
 
 
+def _write_rows(path, header, rows, comments=()) -> None:
+    """CSV with LF line ends: the header, one line per row, then "# " comment lines."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+        for line in comments:
+            fh.write(f"# {line}\n")
+
+
 def write_step_csv(records, path, sys: HamiltonianSystem, y0) -> None:
     """One row per accepted step; invariant errors are relative to the run start."""
     y0 = np.asarray(y0, dtype=float)
@@ -261,14 +275,10 @@ def write_step_csv(records, path, sys: HamiltonianSystem, y0) -> None:
     cols = (["t"] + [f"q{i+1}" for i in range(m)] + [f"p{i+1}" for i in range(m)]
             + ["h", "alpha", "stage_iters"] + [f"err_{name}" for name in sys.invariants])
     refs = [(fn, float(fn(y0))) for fn in sys.invariants.values()]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rec in records:
-            y = rec.state.y
-            row = [_fmt(rec.state.t)] + [_fmt(v) for v in y]
-            row += [_fmt(rec.h), _fmt(rec.alpha), str(rec.stage_iters)]
-            row += [_fmt(abs(float(fn(y)) - ref)) for fn, ref in refs]
-            fh.write(",".join(row) + "\n")
+    _write_rows(path, cols, (
+        [_fmt(rec.state.t), *map(_fmt, rec.state.y), _fmt(rec.h), _fmt(rec.alpha),
+         str(rec.stage_iters), *(_fmt(abs(float(fn(rec.state.y)) - ref)) for fn, ref in refs)]
+        for rec in records))
 
 
 def _method_cols(method: MethodSpec) -> list[str]:
@@ -276,25 +286,17 @@ def _method_cols(method: MethodSpec) -> list[str]:
 
 
 def write_convergence_csv(results, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("method,s,k,observable,h,error,floored\n")
-        for res in results:
-            for (h, err), fl in zip(res.samples, res.floored):
-                row = _method_cols(res.method) + [res.observable, _fmt(h), _fmt(err),
-                                                  "1" if fl else "0"]
-                fh.write(",".join(row) + "\n")
+    _write_rows(path, ["method", "s", "k", "observable", "h", "error", "floored"], (
+        _method_cols(res.method) + [res.observable, _fmt(h), _fmt(err), "1" if fl else "0"]
+        for res in results for (h, err), fl in zip(res.samples, res.floored)))
 
 
 def write_drift_csv(reports, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("method,s,k,invariant,period,max_deviation\n")
-        for rep in reports:
-            for n, dev in enumerate(rep.deviations, start=1):
-                row = _method_cols(rep.method) + [rep.invariant, str(n), _fmt(dev)]
-                fh.write(",".join(row) + "\n")
-        for rep in reports:
-            fh.write(f"# verdict: {rep.method}/{rep.invariant}={rep.verdict} "
-                     f"slope={_fmt(rep.drift_slope)}\n")
+    _write_rows(path, ["method", "s", "k", "invariant", "period", "max_deviation"], (
+        _method_cols(rep.method) + [rep.invariant, str(n), _fmt(dev)]
+        for rep in reports for n, dev in enumerate(rep.deviations, start=1)),
+        [f"verdict: {rep.method}/{rep.invariant}={rep.verdict} slope={_fmt(rep.drift_slope)}"
+         for rep in reports])
 
 
 def _write_plot(csv_path, gp_path, settings, series) -> None:

@@ -202,62 +202,64 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
                 break
         alpha_old, g_old, alpha = alpha, g, alpha_next
     if _depth < _MAX_HALVINGS:
-        r1 = equip_step(s, sys, y, 0.5 * h, cfg, alpha_prev, t, _depth + 1)
-        r2 = equip_step(s, sys, r1.state.y, 0.5 * h, cfg, r1.alpha, t + 0.5 * h, _depth + 1)
-        return _combined(State(t=t + h, y=r2.state.y), h, (r1, r2))
+        return _two_halves(
+            lambda y, h, t, a: equip_step(s, sys, y, h, cfg, a, t, _depth + 1),
+            y, h, t, alpha_prev)
     rec = rk_step(build_equip_tableau(s, 0.0), sys, y, h, cfg, t=t)
     return replace(rec, flagged=True)
 
 
-def _driver_tableau(method: MethodSpec) -> ButcherTableau | None:
-    """The tableau a driver steps with; None for EQUIP, which builds one per alpha."""
-    if method.kind != "equip":
-        return build_tableau(method)
-    _reject_equip1(method.s)
-    return None
+def _two_halves(step, y: np.ndarray, h: float, t: float, alpha_prev: float) -> StepRecord:
+    """Two steps of h/2 from (t, y), the second from the first's alpha; one record."""
+    r1 = step(y, 0.5 * h, t, alpha_prev)
+    r2 = step(r1.state.y, 0.5 * h, t + 0.5 * h, r1.alpha)
+    return _combined(State(t=t + h, y=r2.state.y), h, (r1, r2))
 
 
-def _single_step(method: MethodSpec, tab, sys, y, h, cfg, t, alpha_prev) -> StepRecord:
+def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
+    """step(y, h, t, alpha_prev) -> StepRecord for method; the one place its kind is read.
+
+    Gauss and HBVM build their tableau once here; EQUIP builds one per alpha.
+    """
     if method.kind == "equip":
-        return equip_step(method.s, sys, y, h, cfg, alpha_prev, t)
-    return rk_step(tab, sys, y, h, cfg, t)
+        _reject_equip1(method.s)
+        return lambda y, h, t, alpha_prev: equip_step(method.s, sys, y, h, cfg, alpha_prev, t)
+    tab = build_tableau(method)
+    return lambda y, h, t, alpha_prev: rk_step(tab, sys, y, h, cfg, t)
 
 
 def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
-                    h: float, n_steps: int, cfg: SolverConfig,
-                    t0: float = 0.0) -> list[StepRecord]:
-    """Apply n_steps constant-h steps; returns one record per step."""
+                    h: float, n_steps: int, cfg: SolverConfig) -> list[StepRecord]:
+    """Apply n_steps constant-h steps from t = 0; returns one record per step."""
     if n_steps < 1 or not 0.0 < h < np.inf:  # NaN fails every comparison
         raise ValueError("n_steps must be >= 1 and h positive and finite, "
                          f"got n_steps={n_steps}, h={h}")
-    tab = _driver_tableau(method)
+    step = _stepper(method, sys, cfg)
     y = np.asarray(y0, dtype=float)
     alpha_prev = 0.0
     records = []
     for k in range(n_steps):
-        t = t0 + k * h
+        t = k * h
         try:
-            rec = _single_step(method, tab, sys, y, h, cfg, t, alpha_prev)
+            rec = step(y, h, t, alpha_prev)
         except IntegrationError as exc:
             raise type(exc)(f"{method} failed at step {k} (t={t:.6g}): {exc}") from exc
         records.append(rec)
-        y = rec.state.y
-        alpha_prev = rec.alpha
+        y, alpha_prev = rec.state.y, rec.alpha
     return records
 
 
-def _attempt_step(method, tab, sys, y, h, cfg, t, alpha_prev):
-    """One step-doubling attempt: the two-half-step record with err_est set.
+def _attempt_step(step, p: int, y: np.ndarray, h: float, t: float,
+                  alpha_prev: float) -> StepRecord:
+    """One step-doubling attempt of an order-p step: the two-half-step record with err_est.
 
     Local extrapolation is deliberately not applied: the raw two-half-step
     value preserves the method's conservation character.
     """
-    full = _single_step(method, tab, sys, y, h, cfg, t, alpha_prev)
-    half1 = _single_step(method, tab, sys, y, 0.5 * h, cfg, t, alpha_prev)
-    half2 = _single_step(method, tab, sys, half1.state.y, 0.5 * h, cfg,
-                         t + 0.5 * h, half1.alpha)
-    err = float(abs(full.state.y - half2.state.y).max()) / (2.0 ** method.order - 1.0)
-    return _combined(half2.state, h, (full, half1, half2), err)
+    full = step(y, h, t, alpha_prev)
+    halves = _two_halves(step, y, h, t, alpha_prev)
+    err = float(abs(full.state.y - halves.state.y).max()) / (2.0 ** p - 1.0)
+    return _combined(halves.state, h, (full, halves), err)
 
 
 def propose_factor(err_est: float, tol: float, p: int) -> float:
@@ -285,17 +287,19 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     """Step-doubling adaptive driver; records accepted steps only.
 
     A step is accepted when err_est <= tol; the next stepsize multiplies by
-    the clamped controller factor.  h is confined to [1e-8, t_end - t] and the
-    final step is shortened to land exactly on t_end.
+    the clamped controller factor, or halves after a solver failure.  h is
+    confined to [1e-8, t_end - t] (MinStepReached when an attempt fails there)
+    and the final step is shortened to land exactly on t_end.
     """
     if not tol > 0:  # NaN fails every comparison
         raise ValueError(f"tol must be positive, got {tol}")
     if not t0 < t_end < np.inf:
         raise ValueError(f"t_end must be finite and exceed t0, got t0={t0}, t_end={t_end}")
-    tab = _driver_tableau(method)
+    if h0 is not None and not 0.0 < h0 < np.inf:
+        raise ValueError(f"h0 must be positive and finite, got h0={h0}")
+    step = _stepper(method, sys, cfg)
     y = np.asarray(y0, dtype=float)
-    t = t0
-    alpha_prev = alpha0
+    t, alpha_prev = t0, alpha0
     h = h0 if h0 is not None else initial_stepsize(sys, y, t_end - t0)
     h = min(max(h, H_MIN), t_end - t0)
     records: list[StepRecord] = []
@@ -304,20 +308,16 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
         if lands_on_end:
             h = t_end - t
         try:
-            info = _attempt_step(method, tab, sys, y, h, cfg, t, alpha_prev)
+            info = _attempt_step(step, method.order, y, h, t, alpha_prev)
         except (NonConvergence, Divergence):
-            if h <= H_MIN * (1.0 + 1e-9):
-                raise MinStepReached(
-                    f"{method}: solver failure persists at h={h:.3e}, t={t:.6g}"
-                ) from None
-            h = max(0.5 * h, H_MIN)
-            continue
-        if info.err_est <= tol:
-            y = info.state.y
+            info = None
+        if info is not None and info.err_est <= tol:
+            y, alpha_prev = info.state.y, info.alpha
             t = t_end if lands_on_end else t + h
             records.append(replace(info, state=State(t=t, y=y)))
-            alpha_prev = info.alpha
         elif h <= H_MIN * (1.0 + 1e-9):
-            raise MinStepReached(f"{method}: step rejected at the minimum stepsize (t={t:.6g})")
-        h = max(h * propose_factor(info.err_est, tol, method.order), H_MIN)
+            why = "solver failure persists" if info is None else "step rejected"
+            raise MinStepReached(f"{method}: {why} at h={h:.3e}, t={t:.6g}")
+        factor = 0.5 if info is None else propose_factor(info.err_est, tol, method.order)
+        h = max(h * factor, H_MIN)
     return records

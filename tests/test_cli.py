@@ -178,6 +178,16 @@ def test_drift_subcommand(tmp_path, capsys):
     assert "# verdict: gauss:s=3/H=" in text
 
 
+@pytest.mark.parametrize("subcommand,periods", [("convergence", "0"), ("drift", "2")])
+def test_campaigns_reject_too_few_periods(subcommand, periods, tmp_path, capsys):
+    prefix = tmp_path / "campaign"
+    rc = main([subcommand, "--methods", "gauss:s=3", "--e", "0.3", "--periods", periods,
+               "--out", str(prefix)])
+    assert rc == 1
+    assert f"periods={periods}" in capsys.readouterr().err
+    assert not (tmp_path / "campaign.csv").exists()
+
+
 def test_cli_determinism_of_files(tmp_path):
     args = ["convergence", "--methods", "gauss:s=2", "--periods", "1",
             "--h-divisors", "60,80,100"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geork import experiments
 from geork.dynamics import HamiltonianSystem, State, kepler_system, quartic_oscillator
 from geork.experiments import (
     PERIOD,
@@ -149,6 +150,13 @@ def test_study_wraps_solver_failures():
         convergence_study([GAUSS3], 0.6, 1, [PERIOD / 50], starved)
 
 
+@pytest.mark.parametrize("periods", [0, -1])
+def test_study_rejects_periods_below_one(periods):
+    # at periods = 0 every h would fail to divide the empty time span
+    with pytest.raises(ValueError, match=f"periods={periods}"):
+        convergence_study([GAUSS2], 0.6, periods, [PERIOD / 50], SolverConfig())
+
+
 # ---------------------------------------------------------------------------
 # drift study
 
@@ -182,6 +190,16 @@ def test_drift_reports_need_three_periods(mild_drift_run):
     sys, state0, per = mild_drift_run
     with pytest.raises(ValueError):
         drift_reports(GAUSS3, per[:2], sys, state0.y, tol=1e-8)
+
+
+@pytest.mark.parametrize("periods", [0, 2])
+def test_drift_study_rejects_too_few_periods_before_integrating(periods, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking the period count")
+
+    monkeypatch.setattr(experiments, "run_adaptive_periods", never)
+    with pytest.raises(ValueError, match=f"periods={periods}"):
+        drift_study([GAUSS3], 0.3, periods, 1e-6, SolverConfig())
 
 
 def test_drift_verdict_rule_synthetic():

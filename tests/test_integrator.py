@@ -16,6 +16,7 @@ from geork.integrator import (
     NonConvergence,
     SolverConfig,
     _attempt_step,
+    _stepper,
     equip_step,
     initial_stepsize,
     integrate_adaptive,
@@ -24,7 +25,7 @@ from geork.integrator import (
     rk_step,
     solve_stages,
 )
-from geork.tableau import MethodSpec, build_equip_tableau, build_gauss, build_hbvm, build_tableau
+from geork.tableau import MethodSpec, build_equip_tableau, build_gauss, build_hbvm
 
 T = 2 * np.pi
 
@@ -68,7 +69,7 @@ def untouchable_system():
 
 def step_doubling_error(method, sys, y, h, cfg):
     """The controller's error estimate for one attempt of size h from y."""
-    return _attempt_step(method, build_tableau(method), sys, y, h, cfg, 0.0, 0.0).err_est
+    return _attempt_step(_stepper(method, sys, cfg), method.order, y, h, 0.0, 0.0).err_est
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,30 @@ def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg)
     assert len(calls) == rec.stage_iters + rec.alpha_iters
 
 
+def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cfg):
+    # the benchmark's tracer counts alpha evaluations by wrapping
+    # integrator.build_equip_tableau and halvings by wrapping
+    # integrator.equip_step, whose nested calls are the half-steps; a half-step
+    # that called equip_step through a name bound at import would hide them
+    calls = {"equip_step": 0, "build_equip_tableau": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(integrator, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(integrator, name, counted)
+    sys, state0 = kepler_system(0.6)
+    rec = integrator.equip_step(3, sys, state0.y, T / 100, cfg)
+    assert not rec.flagged and rec.alpha_iters == 4
+    assert calls == {"equip_step": 1, "build_equip_tableau": 4}
+    # a starved step halves down to depth 5; each flagged leaf builds its
+    # alpha = 0 tableau once more
+    calls.update(equip_step=0, build_equip_tableau=0)
+    starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=1)
+    rec = integrator.equip_step(3, sys, state0.y, T / 100, starved)
+    assert rec.flagged
+    assert calls == {"equip_step": 55, "build_equip_tableau": 55 + 16}
+
+
 def test_single_step_matches_driver(cfg):
     sys, state0 = kepler_system(0.6)
     recs = integrate_fixed(GAUSS3, sys, state0.y, 0.1, 1, cfg)
@@ -458,8 +483,16 @@ def test_adaptive_stepsize_span_hard_orbit(cfg):
 def test_adaptive_min_step_abort(harmonic):
     sys, state0 = harmonic
     cfg = SolverConfig()
-    with pytest.raises(MinStepReached):
+    with pytest.raises(MinStepReached, match="step rejected at h=1.000e-08, t="):
         integrate_adaptive(MethodSpec("gauss", 1), sys, state0.y, 1.0, 1e-30, cfg)
+
+
+def test_adaptive_min_step_abort_after_persistent_solver_failure(cfg):
+    # every field call is inf, so every attempt diverges and h halves to H_MIN
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(MinStepReached, match="solver failure persists at h=1.000e-08, t=0"):
+        integrate_adaptive(GAUSS3, trapped_system(range(1, 10**6)), np.array([1.0, 0.0]),
+                           1.0, 1e-8, cfg, h0=0.5)
 
 
 @pytest.mark.parametrize("method", [GAUSS3, EQUIP3], ids=str)
@@ -489,6 +522,14 @@ def test_adaptive_validates_inputs(harmonic, cfg):
                        (1.0, np.nan)):
         with pytest.raises(ValueError):
             integrate_adaptive(GAUSS3, sys, state0.y, t_end, tol, cfg)
+
+
+@pytest.mark.parametrize("h0", [0.0, -1.0, np.nan, np.inf])
+def test_adaptive_rejects_bad_h0_before_any_evaluation(h0, cfg):
+    # clamping a caller's h0 into [H_MIN, t_end - t0] would hide the mistake
+    with pytest.raises(ValueError, match=f"h0={h0}"):
+        integrate_adaptive(GAUSS3, untouchable_system(), np.array([1.0, 0.0]), 1.0, 1e-8,
+                           cfg, h0=h0)
 
 
 def test_initial_stepsize_clamps(harmonic):
