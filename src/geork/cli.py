@@ -23,7 +23,6 @@ from .integrator import IntegrationError, SolverConfig, integrate_adaptive, inte
 from .tableau import MethodSpec, build_tableau, format_tableau, tableau_csv
 
 __all__ = [
-    "MethodParseError",
     "parse_method",
     "parse_method_list",
     "main",
@@ -32,10 +31,6 @@ __all__ = [
 CONVERGENCE_METHODS = "gauss:s=3,hbvm:k=4,s=3,hbvm:k=6,s=3,hbvm:k=9,s=3,hbvm:k=12,s=3,equip:s=3"
 DRIFT_METHODS = "gauss:s=3,hbvm:k=12,s=3,equip:s=3"
 CONVERGENCE_DIVISORS = "50,70,100,140,200"
-
-
-class MethodParseError(ValueError):
-    """A method string does not follow kind:key=value,... grammar or names no valid method."""
 
 
 def parse_method(text: str) -> MethodSpec:
@@ -48,19 +43,19 @@ def parse_method(text: str) -> MethodSpec:
             key, eq, value = item.partition("=")
             key = key.strip().lower()
             if not eq or key not in ("s", "k"):
-                raise MethodParseError(f"bad parameter {item!r} in {text!r}")
+                raise ValueError(f"bad parameter {item!r} in {text!r}")
             if key in params:
-                raise MethodParseError(f"duplicate parameter {key!r} in {text!r}")
+                raise ValueError(f"duplicate parameter {key!r} in {text!r}")
             try:
                 params[key] = int(value)
             except ValueError:
-                raise MethodParseError(f"parameter {key}={value!r} is not an integer") from None
+                raise ValueError(f"parameter {key}={value!r} is not an integer") from None
     if "s" not in params:
-        raise MethodParseError(f"{kind} requires s (got {text!r})")
+        raise ValueError(f"{kind} requires s (got {text!r})")
     try:
         return MethodSpec(kind, params["s"], params.get("k"))
     except ValueError as exc:
-        raise MethodParseError(f"{exc} (got {text!r})") from None
+        raise ValueError(f"{exc} (got {text!r})") from None
 
 
 def parse_method_list(text: str) -> list[MethodSpec]:
@@ -91,8 +86,6 @@ def _cmd_tableau(args) -> int:
     if tab.alpha == 0.0 and args.alpha != 0.0:
         raise ValueError(f"--alpha has no effect on {spec}; only equip with s >= 2 takes it")
     print(tableau_csv(tab) if args.csv else format_tableau(tab), end="")
-    if not args.csv:
-        print()
     return 0
 
 

@@ -90,7 +90,6 @@ class DriftReport:
     invariant: str
     deviations: tuple[float, ...]
     drift_slope: float
-    slope_stderr: float
     verdict: str
 
 
@@ -138,7 +137,8 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
 
     For each (method, h) cell: solution error is the Euclidean norm of the
     final-state deviation from the analytic orbit, energy and momentum errors
-    are the max deviation over the whole run.
+    are the max deviation over the whole run.  The stepsizes in h_grid must
+    be distinct and each divide the time span.
     """
     if periods < 1:
         raise ValueError(f"the convergence campaign needs periods >= 1, got periods={periods}")
@@ -148,18 +148,21 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
     H0 = float(sys.energy(y0))
     L0 = float(sys.invariants["L"](y0))
 
-    h_grid = sorted(h_grid, reverse=True)
-    for h in h_grid:
+    steps = {}  # step count -> h, by decreasing h
+    for h in sorted(h_grid, reverse=True):
         n = round(total / h)
         if n < 1 or abs(n * h - total) > 1e-9 * total:
             raise ValueError(f"h={h} does not divide the time span {total}")
+        if n in steps:
+            raise ValueError(f"h={h} appears more than once in the stepsize grid")
+        steps[n] = h
 
     results = []
     for method in methods:
         errs = {obs: [] for obs in OBSERVABLES}
-        for h in h_grid:
+        for n, h in steps.items():
             try:
-                recs = integrate_fixed(method, sys, y0, h, round(total / h), cfg)
+                recs = integrate_fixed(method, sys, y0, h, n, cfg)
             except IntegrationError as exc:
                 raise type(exc)(f"convergence cell ({method}, h={h:.6g}): {exc}") from exc
             ys = np.stack([r.state.y for r in recs])
@@ -168,7 +171,7 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
             errs["energy_error"].append(float(np.max(np.abs(sys.energy(ys) - H0))))
             errs["momentum_error"].append(float(np.max(np.abs(sys.invariants["L"](ys) - L0))))
         for obs in OBSERVABLES:
-            samples = tuple(zip(h_grid, errs[obs]))
+            samples = tuple(zip(steps.values(), errs[obs]))
             flags = tuple(floor_flags(errs[obs], obs, H0))
             slope, constant = _fit_or_nan(_kept(samples, flags))
             results.append(ConvergenceResult(
@@ -207,17 +210,17 @@ def run_adaptive_periods(method: MethodSpec, sys: HamiltonianSystem, y0,
     return per_period
 
 
-def _drift_verdict(deviations, tol, ref_value) -> tuple[float, float, str]:
-    n = len(deviations)
+def _drift_verdict(deviations, tol, ref_value) -> tuple[float, str]:
+    n = len(deviations)  # drift_reports guarantees n >= 3
     x = np.arange(1.0, n + 1.0)
     dev = np.asarray(deviations)
     slope, intercept = np.polyfit(x, dev, 1)
     resid = dev - (slope * x + intercept)
     sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx) if n > 2 else math.inf
+    stderr = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
     growth_floor = _DRIFT_GROWTH_FRACTION * tol * (1.0 + abs(ref_value))
     drifting = slope > 3.0 * stderr and slope * n > growth_floor
-    return float(slope), stderr, "drifting" if drifting else "conserved"
+    return float(slope), "drifting" if drifting else "conserved"
 
 
 def drift_reports(method: MethodSpec, per_period, sys: HamiltonianSystem, y0,
@@ -234,10 +237,10 @@ def drift_reports(method: MethodSpec, per_period, sys: HamiltonianSystem, y0,
     for name, fn in sys.invariants.items():
         ref = float(fn(y0))
         series = [abs(float(fn(recs[-1].state.y)) - ref) for recs in per_period]
-        slope, stderr, verdict = _drift_verdict(series, tol, ref)
+        slope, verdict = _drift_verdict(series, tol, ref)
         reports.append(DriftReport(
             method=method, invariant=name, deviations=tuple(series),
-            drift_slope=slope, slope_stderr=stderr, verdict=verdict,
+            drift_slope=slope, verdict=verdict,
         ))
     return reports
 

@@ -71,8 +71,10 @@ class SolverConfig:
     max_alpha_iters: int = 25
 
     def __post_init__(self):
-        if self.stage_tol <= 0 or self.alpha_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        for name in ("stage_tol", "alpha_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_stage_iters < 1 or self.max_alpha_iters < 1:
             raise ValueError("iteration budgets must be >= 1")
 
@@ -127,7 +129,7 @@ def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
         raise ValueError("stepsize must be finite")
     tol = cfg.stage_tol * (1.0 + abs(y).max())
     hA = h * tab.A
-    Y = np.broadcast_to(y, (tab.n_stages, y.size)) if Y0 is None else Y0
+    Y = np.broadcast_to(y, (len(tab.b), y.size)) if Y0 is None else Y0
     for it in range(1, cfg.max_stage_iters + 1):
         Z = y + hA @ _stage_field(sys, Y)
         res = abs(Y - Z).max()
@@ -291,8 +293,8 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     confined to [1e-8, t_end - t] (MinStepReached when an attempt fails there)
     and the final step is shortened to land exactly on t_end.
     """
-    if not tol > 0:  # NaN fails every comparison
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:  # NaN fails every comparison
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not t0 < t_end < np.inf:
         raise ValueError(f"t_end must be finite and exceed t0, got t0={t0}, t_end={t_end}")
     if h0 is not None and not 0.0 < h0 < np.inf:

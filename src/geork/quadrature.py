@@ -58,15 +58,18 @@ def legendre_eval(j: int, tau):
 class QuadratureRule:
     """Gauss-Legendre nodes and weights on [0, 1]."""
 
-    n_nodes: int
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.nodes.shape != (self.n_nodes,) or self.weights.shape != (self.n_nodes,):
-            raise ValueError("nodes/weights length does not match n_nodes")
+        if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
+            raise ValueError("nodes must be 1-D and weights of the same shape")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
 
     def integrate(self, f: Callable) -> float:
         """Apply the rule to a function defined on [0, 1]."""
@@ -105,7 +108,7 @@ def gauss_rule(n: int) -> QuadratureRule:
     half = n // 2
     nodes = np.concatenate([low, (1.0 - low[:half])[::-1]])
     weights = np.concatenate([w_low, w_low[:half][::-1]])
-    return QuadratureRule(n_nodes=n, nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def vandermonde(rule: QuadratureRule, n_cols: int) -> np.ndarray:

@@ -20,7 +20,6 @@ every alpha.
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,23 +108,29 @@ class MethodSpec:
 
 @dataclass(frozen=True, eq=False)
 class ButcherTableau:
-    """Runge-Kutta data (A, b, c) plus order and construction metadata."""
+    """Runge-Kutta data (A, b, c) of method ``spec`` at ``alpha``; spec sets size and order."""
 
-    n_stages: int
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    order: int
     spec: MethodSpec
     alpha: float = 0.0
 
     def __post_init__(self):
-        n = self.n_stages
+        n = self.spec.n_stages
         if self.A.shape != (n, n) or self.b.shape != (n,) or self.c.shape != (n,):
             raise ValueError("tableau dimensions are inconsistent")
         self.A.setflags(write=False)
         self.b.setflags(write=False)
         self.c.setflags(write=False)
+
+    @property
+    def n_stages(self) -> int:
+        return self.spec.n_stages
+
+    @property
+    def order(self) -> int:
+        return self.spec.order
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,10 +153,7 @@ def build_tableau(spec: MethodSpec, alpha: float = 0.0) -> ButcherTableau:
         alpha = 0.0
     rule, W = _node_basis(spec.n_stages, s)
     A = (W @ core_matrix(s, alpha) @ W[:, :s].T) * rule.weights
-    return ButcherTableau(
-        n_stages=spec.n_stages, A=A, b=rule.weights, c=rule.nodes,
-        order=spec.order, spec=spec, alpha=float(alpha),
-    )
+    return ButcherTableau(A=A, b=rule.weights, c=rule.nodes, spec=spec, alpha=float(alpha))
 
 
 def build_gauss(s: int) -> ButcherTableau:
@@ -187,17 +189,22 @@ def _fmt15(x: float) -> str:
     )
 
 
+def _cells(t: ButcherTableau, fmt) -> list[list[str]]:
+    """Rows c_i, a_i1..a_in, then the weights row with an empty leading cell."""
+    rows = [[fmt(t.c[i])] + [fmt(a) for a in t.A[i]] for i in range(t.n_stages)]
+    return rows + [[""] + [fmt(w) for w in t.b]]
+
+
 def format_tableau(t: ButcherTableau) -> str:
     """Aligned human-readable form: c | A rows, then the weights row."""
-    cells = [[_fmt15(t.c[i])] + [_fmt15(a) for a in t.A[i]] for i in range(t.n_stages)]
-    cells.append([""] + [_fmt15(w) for w in t.b])
-    widths = [max(len(row[j]) for row in cells) for j in range(t.n_stages + 1)]
+    cells = _cells(t, _fmt15)
+    widths = [max(len(cell) for cell in column) for column in zip(*cells)]
     lines = [f"# {t.spec}  order {t.order}"]
     for i, row in enumerate(cells):
+        aligned = [cell.rjust(w) for cell, w in zip(row, widths)]
         sep = " | " if i < t.n_stages else "   "
-        lines.append(row[0].rjust(widths[0]) + sep
-                     + "  ".join(row[j + 1].rjust(widths[j + 1]) for j in range(t.n_stages)))
-    return "\n".join(lines)
+        lines.append(aligned[0] + sep + "  ".join(aligned[1:]))
+    return "\n".join(lines) + "\n"
 
 
 def tableau_csv(t: ButcherTableau) -> str:
@@ -206,13 +213,7 @@ def tableau_csv(t: ButcherTableau) -> str:
     Each stage row is ``c_i,a_i1,...,a_in``; the trailing row holds the
     weights with an empty leading field.
     """
-    out = io.StringIO()
-    out.write(f"# method {t.spec.kind}\n")
-    out.write(f"# s {t.spec.s}\n")
-    out.write(f"# k {t.n_stages}\n")
-    out.write(f"# alpha {format(t.alpha, '.17g')}\n")
-    for i in range(t.n_stages):
-        row = [format(t.c[i], ".17g")] + [format(a, ".17g") for a in t.A[i]]
-        out.write(",".join(row) + "\n")
-    out.write("," + ",".join(format(w, ".17g") for w in t.b) + "\n")
-    return out.getvalue()
+    header = [f"# method {t.spec.kind}", f"# s {t.spec.s}", f"# k {t.n_stages}",
+              f"# alpha {format(t.alpha, '.17g')}"]
+    rows = [",".join(row) for row in _cells(t, lambda x: format(x, ".17g"))]
+    return "\n".join(header + rows) + "\n"

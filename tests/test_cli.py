@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geork
-from geork.cli import MethodParseError, main, parse_method, parse_method_list
+from geork import cli
+from geork.cli import main, parse_method, parse_method_list
 from geork.tableau import KINDS, MethodSpec
 
 method_specs = st.builds(
@@ -33,23 +34,23 @@ def test_parse_method_case_and_space_insensitive():
 
 
 def test_parse_method_errors():
-    with pytest.raises(MethodParseError, match="unknown method kind 'radau'"):
+    with pytest.raises(ValueError, match="unknown method kind 'radau'"):
         parse_method("radau:s=3")
-    with pytest.raises(MethodParseError, match=r"hbvm requires k \(got"):
+    with pytest.raises(ValueError, match=r"hbvm requires k \(got"):
         parse_method("hbvm:s=3")
-    with pytest.raises(MethodParseError, match="gauss requires s"):
+    with pytest.raises(ValueError, match="gauss requires s"):
         parse_method("gauss")
-    with pytest.raises(MethodParseError, match="hbvm requires k >= s, got k=2, s=3"):
+    with pytest.raises(ValueError, match="hbvm requires k >= s, got k=2, s=3"):
         parse_method("hbvm:k=2,s=3")
-    with pytest.raises(MethodParseError, match="k is only meaningful for hbvm"):
+    with pytest.raises(ValueError, match="k is only meaningful for hbvm"):
         parse_method("gauss:s=3,k=4")
-    with pytest.raises(MethodParseError, match="s='three' is not an integer"):
+    with pytest.raises(ValueError, match="s='three' is not an integer"):
         parse_method("gauss:s=three")
-    with pytest.raises(MethodParseError, match="bad parameter 'order=3'"):
+    with pytest.raises(ValueError, match="bad parameter 'order=3'"):
         parse_method("gauss:order=3")
-    with pytest.raises(MethodParseError, match="duplicate parameter 's'"):
+    with pytest.raises(ValueError, match="duplicate parameter 's'"):
         parse_method("gauss:s=3,s=5")
-    with pytest.raises(MethodParseError, match="duplicate parameter 'k'"):
+    with pytest.raises(ValueError, match="duplicate parameter 'k'"):
         parse_method("hbvm:k=6,s=3,K=9")
 
 
@@ -188,6 +189,19 @@ def test_campaigns_reject_too_few_periods(subcommand, periods, tmp_path, capsys)
     assert not (tmp_path / "campaign.csv").exists()
 
 
+@pytest.mark.parametrize("divisors,message", [
+    ("50,50,100", "appears more than once"),
+    ("50,0,100", "divisors must be positive"),
+], ids=["repeated", "zero"])
+def test_convergence_rejects_a_bad_divisor_list(divisors, message, tmp_path, capsys):
+    prefix = tmp_path / "conv"
+    rc = main(["convergence", "--methods", "gauss:s=2", "--periods", "1",
+               "--h-divisors", divisors, "--out", str(prefix)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "conv.csv").exists()
+
+
 def test_cli_determinism_of_files(tmp_path):
     args = ["convergence", "--methods", "gauss:s=2", "--periods", "1",
             "--h-divisors", "60,80,100"]
@@ -244,6 +258,20 @@ def test_unwritable_output_diagnostic(tmp_path, capsys):
                "--out", str(tmp_path / "missing-dir" / "x.csv")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    def write_half(records, path, *args):
+        with open(path, "w") as fh:
+            fh.write("t,q1")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_step_csv", write_half)
+    out = tmp_path / "x.csv"
+    rc = main(["run", "--method", "gauss:s=3", "--h", "0.1", "--steps", "2", "--out", str(out)])
+    assert rc == 1
+    assert "disk full" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -21,7 +21,7 @@ from geork.experiments import (
     write_drift_plot,
     write_step_csv,
 )
-from geork.integrator import SolverConfig, integrate_fixed
+from geork.integrator import MinStepReached, SolverConfig, integrate_fixed
 from geork.tableau import MethodSpec
 
 GAUSS2 = MethodSpec("gauss", 2)
@@ -150,6 +150,16 @@ def test_study_wraps_solver_failures():
         convergence_study([GAUSS3], 0.6, 1, [PERIOD / 50], starved)
 
 
+def test_study_rejects_a_repeated_stepsize_before_integrating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking the stepsize grid")
+
+    monkeypatch.setattr(experiments, "integrate_fixed", never)
+    h = PERIOD / 50
+    with pytest.raises(ValueError, match=f"h={h} appears more than once"):
+        convergence_study([GAUSS2], 0.6, 1, [h, PERIOD / 100, PERIOD / 50], SolverConfig())
+
+
 @pytest.mark.parametrize("periods", [0, -1])
 def test_study_rejects_periods_below_one(periods):
     # at periods = 0 every h would fail to divide the empty time span
@@ -184,6 +194,14 @@ def test_drift_reports_structure(mild_drift_run):
         assert len(rep.deviations) == 4
         assert rep.verdict in ("conserved", "drifting")
         assert math.isfinite(rep.drift_slope)
+
+
+def test_adaptive_periods_name_the_failing_period():
+    # one stage iteration never meets the tolerance, so the controller halves
+    # down to H_MIN and gives up inside the first period
+    sys, state0 = kepler_system(0.3)
+    with pytest.raises(MinStepReached, match=r"drift run \(gauss:s=3, period 1\)"):
+        run_adaptive_periods(GAUSS3, sys, state0.y, 3, 1e-8, SolverConfig(max_stage_iters=1))
 
 
 def test_drift_reports_need_three_periods(mild_drift_run):

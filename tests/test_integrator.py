@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from geork import integrator
 from geork.dynamics import (
-    HamiltonianSystem, angular_momentum, canonical_field, kepler_reference, kepler_system,
-    quartic_oscillator,
+    DomainError, HamiltonianSystem, angular_momentum, canonical_field, kepler_reference,
+    kepler_system, quartic_oscillator,
 )
 from geork.integrator import (
     H_MIN,
@@ -157,8 +157,12 @@ def test_stage_solve_divergence_on_blown_up_iterate(value, cfg):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(stage_tol=0.0)
+    # an infinite alpha_tol would accept EQUIP's first secant evaluation
+    # unflagged, a NaN stage_tol would run every stage solve to its budget
+    for name in ("stage_tol", "alpha_tol"):
+        for value in (0.0, -1e-13, np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})
     with pytest.raises(ValueError):
         SolverConfig(max_alpha_iters=0)
 
@@ -256,6 +260,41 @@ def test_equip_flagged_fallback():
     assert rec.state.t == pytest.approx(h)
     plain = integrate_fixed(GAUSS3, sys, state0.y, h / 32, 32, SolverConfig(alpha_tol=1e-30))
     np.testing.assert_allclose(rec.state.y, plain[-1].state.y, atol=1e-12)
+
+
+def test_domain_error_is_a_divergence_the_controller_retries(harmonic, cfg):
+    # the field leaves its domain on call 2, the first attempt's second
+    # stage iteration; the controller halves h and carries on
+    sys, state0 = harmonic
+    calls = itertools.count(1)
+
+    def field(y):
+        if next(calls) == 2:
+            raise DomainError("outside the domain")
+        return sys.field(y)
+
+    edgy = HamiltonianSystem(name="edgy", half_dim=1, energy=sys.energy, field=field,
+                             invariants=sys.invariants)
+    with pytest.raises(Divergence, match="vector field domain error"):
+        rk_step(build_gauss(2), edgy, state0.y, 0.1, cfg)
+    calls = itertools.count(1)
+    recs = integrate_adaptive(GAUSS3, edgy, state0.y, t_end=1.0, tol=1e-8, cfg=cfg, h0=0.5)
+    assert recs[-1].state.t == 1.0
+
+
+def test_equip_secant_with_a_flat_energy_falls_back_flagged(cfg):
+    # y_next = y + h (1, 0) for every alpha, so g = H(y_next) - H(y) = h never
+    # moves: the secant denominator is zero at every halving depth
+    def energy(y):
+        return np.asarray(y, dtype=float)[..., 0]
+
+    flat = HamiltonianSystem(name="flat", half_dim=1, energy=energy,
+                             field=lambda y: np.broadcast_to([1.0, 0.0], np.shape(y)),
+                             invariants={"H": energy})
+    rec = equip_step(3, flat, np.array([0.0, 0.0]), 0.1, cfg)
+    assert rec.flagged
+    assert rec.state.t == pytest.approx(0.1)
+    np.testing.assert_allclose(rec.state.y, [0.1, 0.0], atol=1e-15)
 
 
 def test_equip_failed_stage_solve_halves_but_non_finite_update_escapes(cfg):
@@ -517,9 +556,10 @@ def test_adaptive_determinism(cfg):
 
 def test_adaptive_validates_inputs(harmonic, cfg):
     sys, state0 = harmonic
-    # an infinite t_end would never return and a NaN one would return no steps
+    # an infinite t_end would never return and a NaN one would return no steps;
+    # an infinite tol would accept every attempt unchecked
     for t_end, tol in ((1.0, -1e-8), (0.0, 1e-8), (np.nan, 1e-8), (np.inf, 1e-8),
-                       (1.0, np.nan)):
+                       (1.0, np.nan), (1.0, np.inf)):
         with pytest.raises(ValueError):
             integrate_adaptive(GAUSS3, sys, state0.y, t_end, tol, cfg)
 

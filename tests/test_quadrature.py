@@ -4,6 +4,7 @@ import pytest
 
 from geork.quadrature import (
     MAX_NODES,
+    QuadratureRule,
     gauss_rule,
     legendre_eval,
     vandermonde,
@@ -252,6 +253,14 @@ def test_vandermonde_first_column_is_ones():
     for n in (1, 3, 8):
         W = vandermonde(gauss_rule(n), min(n + 1, 4))
         np.testing.assert_array_equal(W[:, 0], np.ones(n))
+
+
+def test_rule_size_is_its_node_count():
+    assert gauss_rule(5).n_nodes == 5
+    for nodes, weights in ((np.array([0.25, 0.75]), np.array([1.0])),
+                           (np.full((2, 2), 0.5), np.full((2, 2), 0.25))):
+        with pytest.raises(ValueError, match="nodes must be 1-D"):
+            QuadratureRule(nodes=nodes, weights=weights)
 
 
 def test_vandermonde_rejects_too_many_columns():

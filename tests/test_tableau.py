@@ -191,6 +191,12 @@ def test_tableau_metadata():
     assert t2.order == 6
 
 
+def test_tableau_shape_must_match_its_spec():
+    t = build_gauss(2)
+    with pytest.raises(ValueError, match="inconsistent"):
+        ButcherTableau(A=t.A, b=t.b, c=t.c, spec=MethodSpec("gauss", 3))
+
+
 # ---------------------------------------------------------------------------
 # HBVM construction
 
