@@ -91,7 +91,10 @@ def _cmd_tableau(args) -> int:
 
 def _cmd_run(args) -> int:
     spec = parse_method(args.method)
-    sys_, state0 = kepler_system(args.e) if args.problem == "kepler" else quartic_oscillator()
+    if args.problem == "quartic" and args.e is not None:
+        raise ValueError("--e has no effect with --problem quartic")
+    sys_, state0 = (kepler_system(0.6 if args.e is None else args.e) if args.problem == "kepler"
+                    else quartic_oscillator())
     cfg = SolverConfig()
     mode, partner, other = (("--h", "steps", "periods") if args.h is not None
                             else ("--tol", "periods", "steps"))
@@ -163,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate one trajectory and write a step CSV")
     p_run.add_argument("--method", required=True)
     p_run.add_argument("--problem", choices=("kepler", "quartic"), default="kepler")
-    p_run.add_argument("--e", type=float, default=0.6, help="Kepler eccentricity")
+    p_run.add_argument("--e", type=float, help="Kepler eccentricity (default 0.6)")
     mode = p_run.add_mutually_exclusive_group(required=True)
     mode.add_argument("--h", type=float, help="fixed stepsize (with --steps)")
     mode.add_argument("--tol", type=float, help="adaptive tolerance (with --periods)")

@@ -16,7 +16,6 @@ __all__ = [
     "DomainError",
     "State",
     "HamiltonianSystem",
-    "canonical_field",
     "kepler_system",
     "kepler_reference",
     "angular_momentum",
@@ -61,17 +60,11 @@ class HamiltonianSystem:
     energy: Callable[[np.ndarray], np.ndarray]
     field: Callable[[np.ndarray], np.ndarray]
     invariants: dict[str, Callable[[np.ndarray], np.ndarray]]
-    poly_degree: int | None = None
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """(dH/dq, dH/dp), read off the field (negation is exact)."""
         f, m = self.field(y), self.half_dim
         return np.concatenate([-f[..., m:], f[..., :m]], axis=-1)
-
-
-def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
-    """Vector field of the canonical equations: (dH/dp, -dH/dq)."""
-    return sys.field(y)
 
 
 def _kepler_energy(y: np.ndarray) -> np.ndarray:
@@ -167,6 +160,5 @@ def quartic_oscillator() -> tuple[HamiltonianSystem, State]:
         energy=_quartic_energy,
         field=_quartic_field,
         invariants={"H": _quartic_energy},
-        poly_degree=4,
     )
     return sys, State(t=0.0, y=np.array([1.0, 0.0]))

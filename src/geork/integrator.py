@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DomainError, HamiltonianSystem, State, canonical_field
+from .dynamics import DomainError, HamiltonianSystem, State
 from .tableau import ButcherTableau, MethodSpec, build_equip_tableau, build_tableau
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "MinStepReached",
     "SolverConfig",
     "StepRecord",
+    "canonical_field",
     "solve_stages",
     "rk_step",
     "equip_step",
@@ -106,9 +107,10 @@ def _combined(state: State, h: float, parts, err_est: float | None = None) -> St
     )
 
 
-def _stage_field(sys: HamiltonianSystem, Y: np.ndarray) -> np.ndarray:
+def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
+    """sys.field(y), the integrator's one field call; a DomainError is a Divergence."""
     try:
-        return canonical_field(sys, Y)
+        return sys.field(y)
     except DomainError as exc:
         raise Divergence(f"vector field domain error: {exc}") from exc
 
@@ -131,7 +133,7 @@ def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
     hA = h * tab.A
     Y = np.broadcast_to(y, (len(tab.b), y.size)) if Y0 is None else Y0
     for it in range(1, cfg.max_stage_iters + 1):
-        Z = y + hA @ _stage_field(sys, Y)
+        Z = y + hA @ canonical_field(sys, Y)
         res = abs(Y - Z).max()
         Y = Z
         if res <= tol:
@@ -147,7 +149,7 @@ def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
 def _update(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, Y: np.ndarray) -> np.ndarray:
     """y_next = y + h sum_i b_i f(Y_i); a non-finite result is a Divergence."""
-    y_next = y + h * (tab.b @ _stage_field(sys, Y))
+    y_next = y + h * (tab.b @ canonical_field(sys, Y))
     if not np.isfinite(y_next).all():
         raise Divergence(f"non-finite step result at h={h}")
     return y_next
@@ -178,6 +180,8 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
     so missing conservation is always reported.
     """
     _reject_equip1(s)
+    if not -np.inf < alpha_prev < np.inf:  # NaN fails every comparison
+        raise ValueError(f"alpha_prev must be finite, got alpha_prev={alpha_prev}")
     H0 = float(sys.energy(y))
     gtol = cfg.alpha_tol * (1.0 + abs(H0))
     alpha, stage_iters, Y = alpha_prev, 0, None
@@ -299,6 +303,8 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
         raise ValueError(f"t_end must be finite and exceed t0, got t0={t0}, t_end={t_end}")
     if h0 is not None and not 0.0 < h0 < np.inf:
         raise ValueError(f"h0 must be positive and finite, got h0={h0}")
+    if not -np.inf < alpha0 < np.inf:
+        raise ValueError(f"alpha0 must be finite, got alpha0={alpha0}")
     step = _stepper(method, sys, cfg)
     y = np.asarray(y0, dtype=float)
     t, alpha_prev = t0, alpha0

@@ -97,11 +97,14 @@ def test_run_fixed_writes_step_csv(tmp_path, capsys):
 
 
 def test_run_is_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
     args = ["run", "--method", "equip:s=3", "--h", "0.1", "--steps", "5"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # Kepler's default eccentricity is 0.6
+    assert main(args + ["--e", "0.6", "--out", str(c)]) == 0
+    assert a.read_bytes() == c.read_bytes()
 
 
 def test_run_adaptive_quartic(tmp_path):
@@ -134,6 +137,17 @@ def test_run_rejects_the_other_modes_option(mode, extra, tmp_path, capsys):
     rc = main(["run", "--method", "gauss:s=3", *mode, *extra, "--out", str(out)])
     assert rc == 1
     assert extra[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("e", ["0.5", "5", "nan"])
+def test_run_rejects_e_with_the_quartic_problem(e, tmp_path, capsys):
+    # --e is Kepler's eccentricity; the quartic oscillator has none to set
+    out = tmp_path / "x.csv"
+    rc = main(["run", "--method", "hbvm:k=6,s=3", "--problem", "quartic", f"--e={e}",
+               "--tol", "1e-8", "--periods", "0.5", "--out", str(out)])
+    assert rc == 1
+    assert "--e" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,11 +6,11 @@ from geork.dynamics import (
     DomainError,
     State,
     angular_momentum,
-    canonical_field,
     kepler_reference,
     kepler_system,
     quartic_oscillator,
 )
+from geork.integrator import canonical_field
 
 
 def fd_gradient(energy, y, step=1e-5):
@@ -201,11 +201,14 @@ def test_quartic_oscillator_basics():
     sys, state0 = quartic_oscillator()
     assert float(sys.energy(state0.y)) == 0.25
     np.testing.assert_array_equal(sys.gradient(state0.y), [1.0, 0.0])
-    assert sys.poly_degree == 4
     assert sys.half_dim == 1
     assert list(sys.invariants) == ["H"]
-    # with s = 3 exact conservation needs k >= nu * s / 2 = 6
-    assert sys.poly_degree * 3 / 2 == 6
+    # H has degree nu = 4, so with s = 3 exact conservation needs k >= nu * s / 2 = 6:
+    # along the line q = p = t, at the integers t = 0..5 (exact in floats), the
+    # fourth difference of H is the constant 4! / 4 and the fifth is zero
+    t = np.arange(6.0)
+    diffs = np.diff(sys.energy(np.stack([t, t], axis=-1)), n=4)
+    np.testing.assert_array_equal(diffs, [6.0, 6.0])
 
 
 def test_state_rejects_non_finite():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from geork import experiments
 from geork.dynamics import HamiltonianSystem, State, kepler_system, quartic_oscillator
@@ -21,7 +22,7 @@ from geork.experiments import (
     write_drift_plot,
     write_step_csv,
 )
-from geork.integrator import MinStepReached, SolverConfig, integrate_fixed
+from geork.integrator import MinStepReached, SolverConfig, StepRecord, integrate_fixed
 from geork.tableau import MethodSpec
 
 GAUSS2 = MethodSpec("gauss", 2)
@@ -357,6 +358,54 @@ def test_csv_numbers_round_trip(tmp_path, small_study):
     h, err = float(row[4]), float(row[5])
     assert h == small_study[0].samples[0][0]
     assert err == small_study[0].samples[0][1]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# -0.0, the smallest subnormal, the smallest normal, +-1e308 and the largest double
+EDGES = (-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308)
+
+
+def _bits(values) -> bytes:
+    """The float64 bytes of values, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _inert_system():
+    """Planar problem with H = 0, so any finite state writes finite error columns."""
+    def energy(y):
+        return np.zeros(np.shape(y)[:-1])
+
+    return HamiltonianSystem(name="inert", half_dim=2, energy=energy,
+                             field=lambda y: np.zeros_like(y), invariants={"H": energy})
+
+
+@given(rows=st.lists(st.tuples(*[finite] * 7), min_size=1, max_size=5))
+@example(rows=[EDGES])
+def test_step_csv_numbers_round_trip(rows, tmp_path_factory):
+    # rows are (t, q1, q2, p1, p2, h, alpha)
+    records = [StepRecord(state=State(t=t, y=np.array(y)), h=h, alpha=alpha,
+                          stage_iters=1, alpha_iters=0)
+               for t, *y, h, alpha in rows]
+    path = tmp_path_factory.mktemp("steps") / "steps.csv"
+    write_step_csv(records, path, _inert_system(), np.zeros(4))
+    header, *lines = path.read_text().splitlines()
+    idx = [header.split(",").index(name) for name in ("t", "q1", "q2", "p1", "p2", "h", "alpha")]
+    got = [[float(line.split(",")[i]) for i in idx] for line in lines]
+    assert _bits(got) == _bits(rows)
+
+
+@given(samples=st.lists(st.tuples(finite, finite), min_size=1, max_size=6))
+@example(samples=list(zip(EDGES, EDGES[::-1])))
+def test_convergence_csv_numbers_round_trip(samples, tmp_path_factory):
+    res = ConvergenceResult(method=GAUSS3, observable="solution_error", samples=tuple(samples),
+                            floored=(False,) * len(samples), slope=math.nan, constant=math.nan)
+    path = tmp_path_factory.mktemp("conv") / "conv.csv"
+    write_convergence_csv([res], path)
+    header, *lines = path.read_text().splitlines()
+    cols = header.split(",")
+    h, err = cols.index("h"), cols.index("error")
+    got = [(float(line.split(",")[h]), float(line.split(",")[err])) for line in lines]
+    assert _bits(got) == _bits(samples)
 
 
 def test_plot_scripts_reference_csv(tmp_path, small_study, mild_drift_run):

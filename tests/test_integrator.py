@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from geork import integrator
 from geork.dynamics import (
-    DomainError, HamiltonianSystem, angular_momentum, canonical_field, kepler_reference,
-    kepler_system, quartic_oscillator,
+    DomainError, HamiltonianSystem, angular_momentum, kepler_reference, kepler_system,
+    quartic_oscillator,
 )
 from geork.integrator import (
     H_MIN,
@@ -17,6 +17,7 @@ from geork.integrator import (
     SolverConfig,
     _attempt_step,
     _stepper,
+    canonical_field,
     equip_step,
     initial_stepsize,
     integrate_adaptive,
@@ -393,7 +394,7 @@ def test_quartic_polynomial_exact_conservation(cfg):
 def quartic_energy_drift(s, k, h, cfg, n=50):
     """Max |H - H0| over n HBVM(k, s) steps on the quartic, and the exactness bound.
 
-    When k >= poly_degree * s / 2 = 2s the method conserves the quartic energy
+    When k >= nu * s / 2 = 2s the method conserves the quartic energy
     exactly, so only the stage solve loses energy: each step's stages miss the
     fixed point by about stage_tol * (1 + |y|), and with |grad H| <= 1 and
     h * L <= 0.6 on this orbit a step can lose no more than that.
@@ -407,7 +408,8 @@ def quartic_energy_drift(s, k, h, cfg, n=50):
 @settings(deadline=None, max_examples=40)
 @given(s=st.integers(1, 3), extra=st.integers(0, 4), h=st.floats(0.01, 0.2))
 def test_hbvm_conserves_polynomial_energy(s, extra, h):
-    k = quartic_oscillator()[0].poly_degree * s // 2 + extra
+    # nu = 4, the degree of the quartic energy p^2/2 + q^4/4
+    k = 4 * s // 2 + extra
     drift, bound = quartic_energy_drift(s, k, h, SolverConfig())
     assert drift <= bound
 
@@ -576,6 +578,27 @@ def test_initial_stepsize_clamps(harmonic):
     sys, state0 = harmonic
     h = initial_stepsize(sys, state0.y, 10.0)
     assert H_MIN <= h <= 10.0
+
+
+def test_start_outside_the_domain_is_a_divergence(cfg):
+    # the first field call of an adaptive run is initial_stepsize's, at y0
+    sys, _ = kepler_system(0.6)
+    y0 = np.array([0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(Divergence, match="vector field domain error"):
+        initial_stepsize(sys, y0, 1.0)
+    with pytest.raises(Divergence, match="vector field domain error"):
+        integrate_adaptive(GAUSS3, sys, y0, 1.0, 1e-8, cfg)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_alpha_is_rejected_before_any_evaluation(alpha, cfg):
+    # a NaN start used to run steps that fell back flagged, an infinite one
+    # to overflow in the tableau product
+    sys, y0 = untouchable_system(), np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match=f"alpha0={alpha}"):
+        integrate_adaptive(EQUIP3, sys, y0, 1.0, 1e-8, cfg, alpha0=alpha)
+    with pytest.raises(ValueError, match=f"alpha_prev={alpha}"):
+        equip_step(3, sys, y0, 0.1, cfg, alpha_prev=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from geork.quadrature import gauss_rule, vandermonde
 from geork.tableau import (
@@ -338,3 +338,18 @@ def test_tableau_csv_shape():
     # round-trip exactness of one entry
     t = build_hbvm(2, 1)
     assert float(lines[4].split(",")[0]) == t.c[0]
+
+
+@given(s=st.integers(1, 6), alpha=st.floats(-1e3, 1e3))
+@example(s=3, alpha=-0.0)
+@example(s=3, alpha=5e-324)
+def test_equip_tableau_csv_round_trips(s, alpha):
+    t = build_equip_tableau(s, alpha)
+    lines = tableau_csv(t).splitlines()
+    assert float(lines[3].removeprefix("# alpha ")).hex() == float(t.alpha).hex()
+    rows = [[float(x) for x in line.split(",")[1:]] for line in lines[4:]]
+    c = [float(line.split(",")[0]) for line in lines[4:-1]]
+    # tobytes compares bits, so a -0.0 read back as 0.0 would fail
+    assert np.array(rows[:-1]).tobytes() == t.A.tobytes()
+    assert np.array(rows[-1]).tobytes() == t.b.tobytes()
+    assert np.array(c).tobytes() == t.c.tobytes()
