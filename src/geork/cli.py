@@ -105,8 +105,10 @@ def _cmd_run(args) -> int:
     if args.h is not None:
         records = integrate_fixed(spec, sys_, state0.y, args.h, args.steps, cfg)
     else:
-        records = integrate_adaptive(spec, sys_, state0.y, args.periods * PERIOD,
-                                     args.tol, cfg)
+        if not 0.0 < args.periods < np.inf:  # NaN fails every comparison
+            raise ValueError(f"--periods must be positive and finite, got {args.periods}")
+        (records,) = integrate_adaptive(spec, sys_, state0.y, [args.periods * PERIOD],
+                                        args.tol, cfg)
     _write_or_discard(args.out, lambda p: write_step_csv(records, p, sys_, state0.y))
     print(f"wrote {len(records)} steps to {args.out}")
     return 0
@@ -128,7 +130,11 @@ def _write_campaign(args, items, write_csv, write_plot, lines) -> int:
 
 def _cmd_convergence(args) -> int:
     methods = parse_method_list(args.methods)
-    divisors = [int(d) for d in args.h_divisors.split(",")]
+    try:
+        divisors = [int(d) for d in args.h_divisors.split(",")]
+    except ValueError:
+        raise ValueError(f"--h-divisors must be comma-separated integers, "
+                         f"got {args.h_divisors!r}") from None
     if any(d < 1 for d in divisors):
         raise ValueError("stepsize divisors must be positive")
     h_grid = [PERIOD / d for d in divisors]

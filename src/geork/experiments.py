@@ -184,30 +184,19 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
 def run_adaptive_periods(method: MethodSpec, sys: HamiltonianSystem, y0,
                          periods: int, tol: float, cfg: SolverConfig,
                          period: float = PERIOD):
-    """Adaptive integration split at period boundaries; records per period.
+    """One adaptive run that lands on t = n * period exactly; records per period.
 
-    Stepsize and EQUIP alpha are threaded across the boundary so the split is
-    purely observational: the controller lands on t = n * period exactly.
+    The split is not observational: each landing step is shortened and the
+    next period restarts from the last unshortened h, so the run takes more
+    steps than an unsplit one and ends elsewhere (Kepler e = 0.6, tol 1e-8,
+    4 periods: Gauss(3) 96 steps against 95, EQUIP(3) 108 against 106, final
+    states 9.6e-7 and 8.4e-8 apart in the max norm).
     """
-    y = np.asarray(y0, dtype=float)
-    h_carry = None
-    alpha_carry = 0.0
-    per_period = []
-    for n in range(1, periods + 1):
-        try:
-            recs = integrate_adaptive(
-                method, sys, y, t_end=n * period, tol=tol, cfg=cfg,
-                t0=(n - 1) * period, h0=h_carry, alpha0=alpha_carry,
-            )
-        except IntegrationError as exc:
-            raise type(exc)(f"drift run ({method}, period {n}): {exc}") from exc
-        per_period.append(recs)
-        y = recs[-1].state.y
-        # the last record is the shortened landing step; seed the next period
-        # with the preceding controller-selected size instead
-        h_carry = recs[-2].h if len(recs) > 1 else recs[-1].h
-        alpha_carry = recs[-1].alpha
-    return per_period
+    try:
+        return integrate_adaptive(method, sys, y0, [n * period for n in range(1, periods + 1)],
+                                  tol, cfg)
+    except IntegrationError as exc:
+        raise type(exc)(f"drift run ({method}): {exc}") from exc
 
 
 def _drift_verdict(deviations, tol, ref_value) -> tuple[float, str]:

@@ -275,57 +275,57 @@ def propose_factor(err_est: float, tol: float, p: int) -> float:
     return min(5.0, max(0.2, 0.9 * (tol / err_est) ** (1.0 / (p + 1))))
 
 
-def initial_stepsize(sys: HamiltonianSystem, y0: np.ndarray, t_span: float) -> float:
-    """Cheap first guess h ~ 0.1 |y| / |f(y)|.
+def initial_stepsize(sys: HamiltonianSystem, y0: np.ndarray) -> float:
+    """Cheap first guess h ~ 0.1 |y| / |f(y)|, at least H_MIN.
 
     Deliberately generous: an overestimate costs a few rejected steps, while
     an underestimate pollutes the accepted-step statistics with warm-up dust.
     """
     f0 = canonical_field(sys, y0)
-    h = 0.1 * (1.0 + abs(y0).max()) / (1.0 + abs(f0).max())
-    return float(min(max(h, H_MIN), t_span))
+    return float(max(0.1 * (1.0 + abs(y0).max()) / (1.0 + abs(f0).max()), H_MIN))
 
 
 def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
-                       t_end: float, tol: float, cfg: SolverConfig,
-                       t0: float = 0.0, h0: float | None = None,
-                       alpha0: float = 0.0) -> list[StepRecord]:
-    """Step-doubling adaptive driver; records accepted steps only.
+                       t_stops, tol: float, cfg: SolverConfig) -> list[list[StepRecord]]:
+    """Step-doubling adaptive driver from t = 0; one list of accepted records per stop.
 
     A step is accepted when err_est <= tol; the next stepsize multiplies by
     the clamped controller factor, or halves after a solver failure.  h is
-    confined to [1e-8, t_end - t] (MinStepReached when an attempt fails there)
-    and the final step is shortened to land exactly on t_end.
+    confined to [1e-8, stop - t] (MinStepReached when an attempt fails there)
+    and the step that reaches a stop is shortened to land on it exactly.  The
+    run after a stop restarts from the last unshortened step's h.
     """
     if not 0.0 < tol < np.inf:  # NaN fails every comparison
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not t0 < t_end < np.inf:
-        raise ValueError(f"t_end must be finite and exceed t0, got t0={t0}, t_end={t_end}")
-    if h0 is not None and not 0.0 < h0 < np.inf:
-        raise ValueError(f"h0 must be positive and finite, got h0={h0}")
-    if not -np.inf < alpha0 < np.inf:
-        raise ValueError(f"alpha0 must be finite, got alpha0={alpha0}")
+    stops = [float(stop) for stop in t_stops]
+    # NaN fails every comparison, and a finite last stop bounds the others
+    if not (stops and all(a < b for a, b in zip([0.0, *stops], stops)) and stops[-1] < np.inf):
+        raise ValueError(f"t_stops must be finite and increase from above 0, got {t_stops}")
     step = _stepper(method, sys, cfg)
     y = np.asarray(y0, dtype=float)
-    t, alpha_prev = t0, alpha0
-    h = h0 if h0 is not None else initial_stepsize(sys, y, t_end - t0)
-    h = min(max(h, H_MIN), t_end - t0)
-    records: list[StepRecord] = []
-    while t < t_end:
-        lands_on_end = h >= t_end - t
-        if lands_on_end:
-            h = t_end - t
-        try:
-            info = _attempt_step(step, method.order, y, h, t, alpha_prev)
-        except (NonConvergence, Divergence):
-            info = None
-        if info is not None and info.err_est <= tol:
-            y, alpha_prev = info.state.y, info.alpha
-            t = t_end if lands_on_end else t + h
-            records.append(replace(info, state=State(t=t, y=y)))
-        elif h <= H_MIN * (1.0 + 1e-9):
-            why = "solver failure persists" if info is None else "step rejected"
-            raise MinStepReached(f"{method}: {why} at h={h:.3e}, t={t:.6g}")
-        factor = 0.5 if info is None else propose_factor(info.err_est, tol, method.order)
-        h = max(h * factor, H_MIN)
-    return records
+    t, alpha_prev = 0.0, 0.0
+    h = initial_stepsize(sys, y)
+    runs: list[list[StepRecord]] = []
+    for stop in stops:
+        records: list[StepRecord] = []
+        while t < stop:
+            lands_on_stop = h >= stop - t
+            if lands_on_stop:
+                h = stop - t
+            try:
+                info = _attempt_step(step, method.order, y, h, t, alpha_prev)
+            except (NonConvergence, Divergence):
+                info = None
+            if info is not None and info.err_est <= tol:
+                y, alpha_prev = info.state.y, info.alpha
+                t = stop if lands_on_stop else t + h
+                records.append(replace(info, state=State(t=t, y=y)))
+            elif h <= H_MIN * (1.0 + 1e-9):
+                why = "solver failure persists" if info is None else "step rejected"
+                raise MinStepReached(f"{method}: {why} at h={h:.3e}, t={t:.6g}, t_end={stop:.6g}")
+            factor = 0.5 if info is None else propose_factor(info.err_est, tol, method.order)
+            h = max(h * factor, H_MIN)
+        runs.append(records)
+        # the landing step was shortened; go on from the step before it
+        h = max(records[-2].h if len(records) > 1 else records[-1].h, H_MIN)
+    return runs

@@ -160,6 +160,20 @@ def test_run_rejects_non_positive_or_non_finite_h(h, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("periods", ["0", "-1", "nan", "inf"])
+def test_run_rejects_non_positive_or_non_finite_periods(periods, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking --periods")
+
+    monkeypatch.setattr(cli, "integrate_adaptive", never)
+    out = tmp_path / "x.csv"
+    rc = main(["run", "--method", "gauss:s=3", "--tol", "1e-8", f"--periods={periods}",
+               "--out", str(out)])
+    assert rc == 1
+    assert "--periods must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_equip1_tableau_prints_but_does_not_run(tmp_path, capsys):
     assert main(["tableau", "--method", "equip:s=1"]) == 0
     capsys.readouterr()
@@ -206,7 +220,8 @@ def test_campaigns_reject_too_few_periods(subcommand, periods, tmp_path, capsys)
 @pytest.mark.parametrize("divisors,message", [
     ("50,50,100", "appears more than once"),
     ("50,0,100", "divisors must be positive"),
-], ids=["repeated", "zero"])
+    ("50,70,abc", "--h-divisors must be comma-separated integers, got '50,70,abc'"),
+], ids=["repeated", "zero", "not-an-integer"])
 def test_convergence_rejects_a_bad_divisor_list(divisors, message, tmp_path, capsys):
     prefix = tmp_path / "conv"
     rc = main(["convergence", "--methods", "gauss:s=2", "--periods", "1",

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geork import integrator
 from geork.dynamics import (
@@ -66,6 +66,12 @@ def untouchable_system():
 
     return HamiltonianSystem(name="untouchable", half_dim=1, energy=untouchable,
                              field=untouchable, invariants={"H": untouchable})
+
+
+@pytest.fixture
+def first_h(monkeypatch):
+    """The adaptive driver's first attempt has h = 0.5 and costs no field call."""
+    monkeypatch.setattr(integrator, "initial_stepsize", lambda sys, y0: 0.5)
 
 
 def step_doubling_error(method, sys, y, h, cfg):
@@ -263,7 +269,7 @@ def test_equip_flagged_fallback():
     np.testing.assert_allclose(rec.state.y, plain[-1].state.y, atol=1e-12)
 
 
-def test_domain_error_is_a_divergence_the_controller_retries(harmonic, cfg):
+def test_domain_error_is_a_divergence_the_controller_retries(harmonic, cfg, first_h):
     # the field leaves its domain on call 2, the first attempt's second
     # stage iteration; the controller halves h and carries on
     sys, state0 = harmonic
@@ -279,7 +285,7 @@ def test_domain_error_is_a_divergence_the_controller_retries(harmonic, cfg):
     with pytest.raises(Divergence, match="vector field domain error"):
         rk_step(build_gauss(2), edgy, state0.y, 0.1, cfg)
     calls = itertools.count(1)
-    recs = integrate_adaptive(GAUSS3, edgy, state0.y, t_end=1.0, tol=1e-8, cfg=cfg, h0=0.5)
+    (recs,) = integrate_adaptive(GAUSS3, edgy, state0.y, [1.0], tol=1e-8, cfg=cfg)
     assert recs[-1].state.t == 1.0
 
 
@@ -443,7 +449,7 @@ def test_drivers_reject_equip1_before_any_solve(cfg):
     with pytest.raises(ValueError, match="equip:s=1"):
         integrate_fixed(equip1, sys, y0, 0.1, 3, cfg)
     with pytest.raises(ValueError, match="equip:s=1"):
-        integrate_adaptive(equip1, sys, y0, 1.0, 1e-8, cfg)
+        integrate_adaptive(equip1, sys, y0, [1.0], 1e-8, cfg)
     # so does the EQUIP step itself
     with pytest.raises(ValueError, match="equip:s=1"):
         equip_step(1, sys, y0, 0.1, cfg)
@@ -504,7 +510,7 @@ def test_propose_factor_formula():
 
 def test_adaptive_lands_exactly_and_respects_tol(cfg):
     sys, state0 = kepler_system(0.6)
-    recs = integrate_adaptive(GAUSS3, sys, state0.y, T, 1e-8, cfg)
+    (recs,) = integrate_adaptive(GAUSS3, sys, state0.y, [T], 1e-8, cfg)
     assert recs[-1].state.t == T
     assert all(r.err_est <= 1e-8 for r in recs)
     # the trajectory is genuinely accurate at that tolerance
@@ -514,7 +520,7 @@ def test_adaptive_lands_exactly_and_respects_tol(cfg):
 
 def test_adaptive_stepsize_span_hard_orbit(cfg):
     sys, state0 = kepler_system(0.99)
-    recs = integrate_adaptive(GAUSS3, sys, state0.y, 5 * T, 1e-8, cfg)
+    (recs,) = integrate_adaptive(GAUSS3, sys, state0.y, [5 * T], 1e-8, cfg)
     # the last record is the t_end landing step, shortened by construction
     hs = np.array([r.h for r in recs[:-1]])
     assert hs.max() / hs.min() >= 100  # at least two orders of magnitude
@@ -524,23 +530,23 @@ def test_adaptive_stepsize_span_hard_orbit(cfg):
 def test_adaptive_min_step_abort(harmonic):
     sys, state0 = harmonic
     cfg = SolverConfig()
-    with pytest.raises(MinStepReached, match="step rejected at h=1.000e-08, t="):
-        integrate_adaptive(MethodSpec("gauss", 1), sys, state0.y, 1.0, 1e-30, cfg)
+    with pytest.raises(MinStepReached, match="step rejected at h=1.000e-08, t=.*, t_end=1$"):
+        integrate_adaptive(MethodSpec("gauss", 1), sys, state0.y, [1.0], 1e-30, cfg)
 
 
-def test_adaptive_min_step_abort_after_persistent_solver_failure(cfg):
+def test_adaptive_min_step_abort_after_persistent_solver_failure(cfg, first_h):
     # every field call is inf, so every attempt diverges and h halves to H_MIN
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(MinStepReached, match="solver failure persists at h=1.000e-08, t=0"):
+    with np.errstate(invalid="ignore"), pytest.raises(
+            MinStepReached, match="solver failure persists at h=1.000e-08, t=0, t_end=1$"):
         integrate_adaptive(GAUSS3, trapped_system(range(1, 10**6)), np.array([1.0, 0.0]),
-                           1.0, 1e-8, cfg, h0=0.5)
+                           [1.0], 1e-8, cfg)
 
 
 @pytest.mark.parametrize("method", [GAUSS3, EQUIP3], ids=str)
-def test_adaptive_halves_h_after_non_finite_update(method, cfg):
+def test_adaptive_halves_h_after_non_finite_update(method, cfg, first_h):
     # the first attempt's full step (field calls 1, 2) has an inf update
     y0 = np.array([1.0, 0.0])
-    recs = integrate_adaptive(method, trapped_system({2}), y0, 1.0, 1e-8, cfg, h0=0.5)
+    (recs,) = integrate_adaptive(method, trapped_system({2}), y0, [1.0], 1e-8, cfg)
     assert recs[0].h == 0.25
     assert recs[-1].state.t == 1.0
     np.testing.assert_array_equal(recs[-1].state.y, y0)
@@ -548,8 +554,8 @@ def test_adaptive_halves_h_after_non_finite_update(method, cfg):
 
 def test_adaptive_determinism(cfg):
     sys, state0 = kepler_system(0.6)
-    a = integrate_adaptive(EQUIP3, sys, state0.y, T, 1e-8, cfg)
-    b = integrate_adaptive(EQUIP3, sys, state0.y, T, 1e-8, cfg)
+    (a,) = integrate_adaptive(EQUIP3, sys, state0.y, [T], 1e-8, cfg)
+    (b,) = integrate_adaptive(EQUIP3, sys, state0.y, [T], 1e-8, cfg)
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         np.testing.assert_array_equal(ra.state.y, rb.state.y)
@@ -557,27 +563,54 @@ def test_adaptive_determinism(cfg):
 
 
 def test_adaptive_validates_inputs(harmonic, cfg):
+    # an infinite tol would accept every attempt unchecked; bad stops are the
+    # property below
     sys, state0 = harmonic
-    # an infinite t_end would never return and a NaN one would return no steps;
-    # an infinite tol would accept every attempt unchecked
-    for t_end, tol in ((1.0, -1e-8), (0.0, 1e-8), (np.nan, 1e-8), (np.inf, 1e-8),
-                       (1.0, np.nan), (1.0, np.inf)):
-        with pytest.raises(ValueError):
-            integrate_adaptive(GAUSS3, sys, state0.y, t_end, tol, cfg)
+    for tol in (-1e-8, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"got {tol}"):
+            integrate_adaptive(GAUSS3, sys, state0.y, [1.0], tol, cfg)
 
 
-@pytest.mark.parametrize("h0", [0.0, -1.0, np.nan, np.inf])
-def test_adaptive_rejects_bad_h0_before_any_evaluation(h0, cfg):
-    # clamping a caller's h0 into [H_MIN, t_end - t0] would hide the mistake
-    with pytest.raises(ValueError, match=f"h0={h0}"):
-        integrate_adaptive(GAUSS3, untouchable_system(), np.array([1.0, 0.0]), 1.0, 1e-8,
-                           cfg, h0=h0)
+positive = st.floats(0.0, 10.0, exclude_min=True)
+positive_stops = st.lists(positive, max_size=3)
+bad_stops = st.one_of(
+    st.just([]),
+    # a start at or before t = 0, -inf included: that one used to spin forever
+    st.builds(lambda first, rest: [first, *rest], st.floats(max_value=0.0), positive_stops),
+    st.lists(positive, min_size=2, max_size=4).filter(
+        lambda xs: any(a >= b for a, b in zip(xs, xs[1:]))),
+    st.builds(lambda xs, bad, i: xs[:i] + [bad] + xs[i:], positive_stops,
+              st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 3)),
+)
+
+
+@given(stops=bad_stops)
+def test_adaptive_rejects_bad_stops_before_any_evaluation(stops):
+    # an infinite stop would never return and a NaN one would return no steps
+    with pytest.raises(ValueError, match="t_stops"):
+        integrate_adaptive(GAUSS3, untouchable_system(), np.array([1.0, 0.0]), stops, 1e-8,
+                           SolverConfig())
+
+
+@settings(deadline=None, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stops=st.lists(positive, min_size=1, max_size=4, unique=True).map(sorted))
+def test_adaptive_lands_on_every_stop(stops, harmonic):
+    sys, state0 = harmonic
+    runs = integrate_adaptive(GAUSS3, sys, state0.y, stops, 1e-8, SolverConfig())
+    assert [recs[-1].state.t for recs in runs] == stops
+    # and the state there is the solution (cos t, -sin t) at the stop
+    for stop, recs in zip(stops, runs):
+        np.testing.assert_allclose(recs[-1].state.y, [np.cos(stop), -np.sin(stop)], atol=1e-6)
 
 
 def test_initial_stepsize_clamps(harmonic):
     sys, state0 = harmonic
-    h = initial_stepsize(sys, state0.y, 10.0)
-    assert H_MIN <= h <= 10.0
+    assert initial_stepsize(sys, state0.y) == pytest.approx(0.1)
+    # a huge field cannot push the first guess below H_MIN
+    fast = HamiltonianSystem(name="fast", half_dim=1, energy=sys.energy,
+                             field=lambda y: 1e12 * sys.field(y), invariants=sys.invariants)
+    assert initial_stepsize(fast, state0.y) == H_MIN
 
 
 def test_start_outside_the_domain_is_a_divergence(cfg):
@@ -585,9 +618,9 @@ def test_start_outside_the_domain_is_a_divergence(cfg):
     sys, _ = kepler_system(0.6)
     y0 = np.array([0.0, 0.0, 0.0, 1.0])
     with pytest.raises(Divergence, match="vector field domain error"):
-        initial_stepsize(sys, y0, 1.0)
+        initial_stepsize(sys, y0)
     with pytest.raises(Divergence, match="vector field domain error"):
-        integrate_adaptive(GAUSS3, sys, y0, 1.0, 1e-8, cfg)
+        integrate_adaptive(GAUSS3, sys, y0, [1.0], 1e-8, cfg)
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
@@ -595,8 +628,6 @@ def test_non_finite_start_alpha_is_rejected_before_any_evaluation(alpha, cfg):
     # a NaN start used to run steps that fell back flagged, an infinite one
     # to overflow in the tableau product
     sys, y0 = untouchable_system(), np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match=f"alpha0={alpha}"):
-        integrate_adaptive(EQUIP3, sys, y0, 1.0, 1e-8, cfg, alpha0=alpha)
     with pytest.raises(ValueError, match=f"alpha_prev={alpha}"):
         equip_step(3, sys, y0, 0.1, cfg, alpha_prev=alpha)
 
