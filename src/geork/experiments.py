@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import HamiltonianSystem, kepler_reference, kepler_system
-from .integrator import (
-    IntegrationError,
-    SolverConfig,
-    integrate_adaptive,
-    integrate_fixed,
-)
+from .integrator import SolverConfig, integrate_adaptive, integrate_fixed
 from .tableau import MethodSpec
 
 __all__ = [
@@ -138,7 +133,7 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
     For each (method, h) cell: solution error is the Euclidean norm of the
     final-state deviation from the analytic orbit, energy and momentum errors
     are the max deviation over the whole run.  The stepsizes in h_grid must
-    be distinct and each divide the time span.
+    be positive, distinct and each divide the time span.
     """
     if periods < 1:
         raise ValueError(f"the convergence campaign needs periods >= 1, got periods={periods}")
@@ -150,6 +145,8 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
 
     steps = {}  # step count -> h, by decreasing h
     for h in sorted(h_grid, reverse=True):
+        if not 0.0 < h < np.inf:  # NaN fails every comparison
+            raise ValueError(f"stepsizes must be positive and finite, got h={h}")
         n = round(total / h)
         if n < 1 or abs(n * h - total) > 1e-9 * total:
             raise ValueError(f"h={h} does not divide the time span {total}")
@@ -161,10 +158,7 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
     for method in methods:
         errs = {obs: [] for obs in OBSERVABLES}
         for n, h in steps.items():
-            try:
-                recs = integrate_fixed(method, sys, y0, h, n, cfg)
-            except IntegrationError as exc:
-                raise type(exc)(f"convergence cell ({method}, h={h:.6g}): {exc}") from exc
+            recs = integrate_fixed(method, sys, y0, h, n, cfg)
             ys = np.stack([r.state.y for r in recs])
             y_ref = kepler_reference(e, recs[-1].state.t)
             errs["solution_error"].append(float(np.linalg.norm(recs[-1].state.y - y_ref)))
@@ -192,11 +186,8 @@ def run_adaptive_periods(method: MethodSpec, sys: HamiltonianSystem, y0,
     4 periods: Gauss(3) 96 steps against 95, EQUIP(3) 108 against 106, final
     states 9.6e-7 and 8.4e-8 apart in the max norm).
     """
-    try:
-        return integrate_adaptive(method, sys, y0, [n * period for n in range(1, periods + 1)],
-                                  tol, cfg)
-    except IntegrationError as exc:
-        raise type(exc)(f"drift run ({method}): {exc}") from exc
+    return integrate_adaptive(method, sys, y0, [n * period for n in range(1, periods + 1)],
+                              tol, cfg)
 
 
 def _drift_verdict(deviations, tol, ref_value) -> tuple[float, str]:

@@ -11,7 +11,8 @@ When an evaluation's stage solve fails, the secant stalls (zero or
 non-finite denominator, non-finite alpha) or the evaluation budget runs out,
 the step falls back to two half-steps, and after five nested halvings to the
 plain Gauss step, flagged.  A non-finite step result raises Divergence out of
-the step, EQUIP or not; the fallback does not catch it.
+the step, EQUIP or not; the fallback does not catch it.  The two drivers are
+where a failure gets its context.
 """
 
 from __future__ import annotations
@@ -234,6 +235,14 @@ def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
     return lambda y, h, t, alpha_prev: rk_step(tab, sys, y, h, cfg, t)
 
 
+def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
+    """y0 as floats; a ValueError unless it is finite with shape (2 * half_dim,)."""
+    y = np.asarray(y0, dtype=float)
+    if y.shape != (2 * sys.half_dim,) or not np.isfinite(y).all():
+        raise ValueError(f"y0 must be finite with shape ({2 * sys.half_dim},), got {y0!r}")
+    return y
+
+
 def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
                     h: float, n_steps: int, cfg: SolverConfig) -> list[StepRecord]:
     """Apply n_steps constant-h steps from t = 0; returns one record per step."""
@@ -241,17 +250,16 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
         raise ValueError("n_steps must be >= 1 and h positive and finite, "
                          f"got n_steps={n_steps}, h={h}")
     step = _stepper(method, sys, cfg)
-    y = np.asarray(y0, dtype=float)
+    y = _start_state(sys, y0)
     alpha_prev = 0.0
     records = []
-    for k in range(n_steps):
-        t = k * h
-        try:
-            rec = step(y, h, t, alpha_prev)
-        except IntegrationError as exc:
-            raise type(exc)(f"{method} failed at step {k} (t={t:.6g}): {exc}") from exc
-        records.append(rec)
-        y, alpha_prev = rec.state.y, rec.alpha
+    try:
+        for k in range(n_steps):
+            rec = step(y, h, k * h, alpha_prev)
+            records.append(rec)
+            y, alpha_prev = rec.state.y, rec.alpha
+    except IntegrationError as exc:
+        raise type(exc)(f"{method} failed at step {k} (t={k * h:.6g}, h={h:.6g}): {exc}") from exc
     return records
 
 
@@ -302,30 +310,33 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     if not (stops and all(a < b for a, b in zip([0.0, *stops], stops)) and stops[-1] < np.inf):
         raise ValueError(f"t_stops must be finite and increase from above 0, got {t_stops}")
     step = _stepper(method, sys, cfg)
-    y = np.asarray(y0, dtype=float)
-    t, alpha_prev = 0.0, 0.0
-    h = initial_stepsize(sys, y)
+    y = _start_state(sys, y0)
+    t, alpha_prev, stop = 0.0, 0.0, stops[0]
     runs: list[list[StepRecord]] = []
-    for stop in stops:
-        records: list[StepRecord] = []
-        while t < stop:
-            lands_on_stop = h >= stop - t
-            if lands_on_stop:
-                h = stop - t
-            try:
-                info = _attempt_step(step, method.order, y, h, t, alpha_prev)
-            except (NonConvergence, Divergence):
-                info = None
-            if info is not None and info.err_est <= tol:
-                y, alpha_prev = info.state.y, info.alpha
-                t = stop if lands_on_stop else t + h
-                records.append(replace(info, state=State(t=t, y=y)))
-            elif h <= H_MIN * (1.0 + 1e-9):
-                why = "solver failure persists" if info is None else "step rejected"
-                raise MinStepReached(f"{method}: {why} at h={h:.3e}, t={t:.6g}, t_end={stop:.6g}")
-            factor = 0.5 if info is None else propose_factor(info.err_est, tol, method.order)
-            h = max(h * factor, H_MIN)
-        runs.append(records)
-        # the landing step was shortened; go on from the step before it
-        h = max(records[-2].h if len(records) > 1 else records[-1].h, H_MIN)
+    try:
+        h = initial_stepsize(sys, y)
+        for stop in stops:
+            records: list[StepRecord] = []
+            while t < stop:
+                lands_on_stop = h >= stop - t
+                if lands_on_stop:
+                    h = stop - t
+                try:
+                    info = _attempt_step(step, method.order, y, h, t, alpha_prev)
+                except (NonConvergence, Divergence):
+                    info = None
+                if info is not None and info.err_est <= tol:
+                    y, alpha_prev = info.state.y, info.alpha
+                    t = stop if lands_on_stop else t + h
+                    records.append(replace(info, state=State(t=t, y=y)))
+                elif h <= H_MIN * (1.0 + 1e-9):
+                    why = "solver failure persists" if info is None else "step rejected"
+                    raise MinStepReached(f"{why} at h={h:.3e}")
+                factor = 0.5 if info is None else propose_factor(info.err_est, tol, method.order)
+                h = max(h * factor, H_MIN)
+            runs.append(records)
+            # the landing step was shortened; go on from the step before it
+            h = max(records[-2].h if len(records) > 1 else records[-1].h, H_MIN)
+    except IntegrationError as exc:
+        raise type(exc)(f"{method} failed at t={t:.6g}, t_end={stop:.6g}: {exc}") from exc
     return runs

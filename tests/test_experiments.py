@@ -22,7 +22,9 @@ from geork.experiments import (
     write_drift_plot,
     write_step_csv,
 )
-from geork.integrator import MinStepReached, SolverConfig, StepRecord, integrate_fixed
+from geork.integrator import (
+    MinStepReached, NonConvergence, SolverConfig, StepRecord, integrate_fixed,
+)
 from geork.tableau import MethodSpec
 
 GAUSS2 = MethodSpec("gauss", 2)
@@ -145,20 +147,33 @@ def test_study_rejects_non_dividing_h():
         convergence_study([GAUSS2], 0.6, 2, [1.0], SolverConfig())
 
 
-def test_study_wraps_solver_failures():
+def test_study_failure_names_the_method_and_h():
+    # the fixed driver's context, passed through unwrapped
     starved = SolverConfig(max_stage_iters=2)
-    with pytest.raises(Exception, match="h="):
+    with pytest.raises(NonConvergence,
+                       match=r"^gauss:s=3 failed at step 0 \(t=0, h=0\.125664\): stage residual"):
         convergence_study([GAUSS3], 0.6, 1, [PERIOD / 50], starved)
 
 
-def test_study_rejects_a_repeated_stepsize_before_integrating(monkeypatch):
+@pytest.fixture
+def no_integration(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("integrated before checking the stepsize grid")
 
     monkeypatch.setattr(experiments, "integrate_fixed", never)
+
+
+def test_study_rejects_a_repeated_stepsize_before_integrating(no_integration):
     h = PERIOD / 50
     with pytest.raises(ValueError, match=f"h={h} appears more than once"):
         convergence_study([GAUSS2], 0.6, 1, [h, PERIOD / 100, PERIOD / 50], SolverConfig())
+
+
+@pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -PERIOD / 50])
+def test_study_rejects_a_bad_stepsize_before_integrating(h, no_integration):
+    # 0 used to divide by zero and NaN to fail converting the step count
+    with pytest.raises(ValueError, match=f"positive and finite, got h={h}"):
+        convergence_study([GAUSS2], 0.6, 1, [PERIOD / 50, h, PERIOD / 100], SolverConfig())
 
 
 @pytest.mark.parametrize("periods", [0, -1])
@@ -201,7 +216,8 @@ def test_adaptive_periods_name_the_failing_period():
     # one stage iteration never meets the tolerance, so the controller halves
     # down to H_MIN and gives up inside the first period, short of t = 2 pi
     sys, state0 = kepler_system(0.3)
-    with pytest.raises(MinStepReached, match=r"drift run \(gauss:s=3\): .*, t_end=6.28319$"):
+    with pytest.raises(MinStepReached, match=r"^gauss:s=3 failed at t=.*, t_end=6\.28319: "
+                                             r"solver failure persists at h=1\.000e-08$"):
         run_adaptive_periods(GAUSS3, sys, state0.y, 3, 1e-8, SolverConfig(max_stage_iters=1))
 
 

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geork import integrator
 from geork.dynamics import (
     DomainError, HamiltonianSystem, angular_momentum, kepler_reference, kepler_system,
     quartic_oscillator,
 )
+from geork.experiments import convergence_study, run_adaptive_periods
 from geork.integrator import (
     H_MIN,
     Divergence,
@@ -530,14 +532,16 @@ def test_adaptive_stepsize_span_hard_orbit(cfg):
 def test_adaptive_min_step_abort(harmonic):
     sys, state0 = harmonic
     cfg = SolverConfig()
-    with pytest.raises(MinStepReached, match="step rejected at h=1.000e-08, t=.*, t_end=1$"):
+    with pytest.raises(MinStepReached,
+                       match=r"^gauss:s=1 failed at t=.*, t_end=1: step rejected at h=1\.000e-08$"):
         integrate_adaptive(MethodSpec("gauss", 1), sys, state0.y, [1.0], 1e-30, cfg)
 
 
 def test_adaptive_min_step_abort_after_persistent_solver_failure(cfg, first_h):
     # every field call is inf, so every attempt diverges and h halves to H_MIN
     with np.errstate(invalid="ignore"), pytest.raises(
-            MinStepReached, match="solver failure persists at h=1.000e-08, t=0, t_end=1$"):
+            MinStepReached,
+            match=r"^gauss:s=3 failed at t=0, t_end=1: solver failure persists at h=1\.000e-08$"):
         integrate_adaptive(GAUSS3, trapped_system(range(1, 10**6)), np.array([1.0, 0.0]),
                            [1.0], 1e-8, cfg)
 
@@ -619,8 +623,87 @@ def test_start_outside_the_domain_is_a_divergence(cfg):
     y0 = np.array([0.0, 0.0, 0.0, 1.0])
     with pytest.raises(Divergence, match="vector field domain error"):
         initial_stepsize(sys, y0)
-    with pytest.raises(Divergence, match="vector field domain error"):
+    with pytest.raises(Divergence,
+                       match="^gauss:s=3 failed at t=0, t_end=1: vector field domain error"):
         integrate_adaptive(GAUSS3, sys, y0, [1.0], 1e-8, cfg)
+
+
+# the two kinds of start the drivers refuse: the right shape with a NaN or
+# infinite entry, and finite entries in any other shape
+bad_y0 = st.one_of(
+    st.builds(lambda y, bad, i: np.insert(y, i, bad),
+              hnp.arrays(float, 1, elements=st.floats(-1e3, 1e3)),
+              st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 1)),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+    .filter(lambda shape: shape != (2,))
+    .flatmap(lambda shape: hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3))),
+)
+run_from = {
+    "fixed": lambda method, y0: integrate_fixed(method, untouchable_system(), y0, 0.1, 3,
+                                                SolverConfig()),
+    "adaptive": lambda method, y0: integrate_adaptive(method, untouchable_system(), y0, [1.0],
+                                                      1e-8, SolverConfig()),
+}
+
+
+@pytest.mark.parametrize("method", [GAUSS3, EQUIP3], ids=str)
+@pytest.mark.parametrize("driver", run_from)
+@given(y0=bad_y0)
+def test_drivers_reject_a_bad_start_before_any_evaluation(driver, method, y0):
+    # a NaN start used to escape from inside the stage solve, an infinite
+    # Kepler start to warn mid-step, and a (1, 2) start to run with 2-D states
+    with pytest.raises(ValueError, match="y0 must be finite with shape \\(2,\\)"):
+        run_from[driver](method, y0)
+
+
+STARVED = SolverConfig(max_stage_iters=2)
+ORIGIN = np.array([0.0, 0.0, 0.0, 1.0])  # Kepler's field is undefined there
+
+
+def kepler(e=0.6):
+    sys, state0 = kepler_system(e)
+    return sys, state0.y
+
+
+def persistent_failure(method):
+    # every field call is inf, so every attempt diverges and h halves to H_MIN
+    with np.errstate(invalid="ignore"):
+        integrate_adaptive(method, trapped_system(range(1, 10**6)), np.array([1.0, 0.0]),
+                           [1.0], 1e-8, SolverConfig())
+
+
+# (case, the error that escapes, the run, the methods it fails for)
+failing_runs = [
+    ("fixed-starved", NonConvergence,
+     lambda m: integrate_fixed(m, *kepler(), T / 100, 5, STARVED), (GAUSS3, EQUIP3)),
+    ("study-starved", NonConvergence,
+     lambda m: convergence_study([m], 0.6, 1, [T / 50], STARVED), (GAUSS3, EQUIP3)),
+    ("periods-starved", MinStepReached,
+     lambda m: run_adaptive_periods(m, *kepler(0.3), 3, 1e-8, SolverConfig(max_stage_iters=1)),
+     (GAUSS3, EQUIP3)),
+    ("adaptive-persistent-failure", MinStepReached, persistent_failure, (GAUSS3, EQUIP3)),
+    ("adaptive-tol-1e-30", MinStepReached,
+     lambda m: integrate_adaptive(m, *kepler(), [1.0], 1e-30, SolverConfig()),
+     (MethodSpec("gauss", 1), GAUSS3, EQUIP3)),
+    # EQUIP's first energy evaluation at the origin divides by zero, so only Gauss here
+    ("fixed-origin", Divergence,
+     lambda m: integrate_fixed(m, kepler()[0], ORIGIN, 0.1, 3, SolverConfig()), (GAUSS3,)),
+    ("adaptive-origin", Divergence,
+     lambda m: integrate_adaptive(m, kepler()[0], ORIGIN, [1.0], 1e-8, SolverConfig()),
+     (GAUSS3, EQUIP3)),
+    ("periods-origin", Divergence,
+     lambda m: run_adaptive_periods(m, kepler()[0], ORIGIN, 3, 1e-8, SolverConfig()),
+     (GAUSS3, EQUIP3)),
+]
+
+
+@pytest.mark.parametrize("error, run, method", [
+    pytest.param(error, run, method, id=f"{name}-{method}")
+    for name, error, run, methods in failing_runs for method in methods])
+def test_an_escaping_failure_names_the_method_once(error, run, method):
+    with pytest.raises(error) as excinfo:
+        run(method)
+    assert str(excinfo.value).count(str(method)) == 1, str(excinfo.value)
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
