@@ -83,8 +83,6 @@ def _cmd_tableau(args) -> int:
     if not np.isfinite(args.alpha):
         raise ValueError(f"--alpha must be finite, got {args.alpha}")
     tab = build_tableau(spec, alpha=args.alpha)
-    if tab.alpha == 0.0 and args.alpha != 0.0:
-        raise ValueError(f"--alpha has no effect on {spec}; only equip with s >= 2 takes it")
     print(tableau_csv(tab) if args.csv else format_tableau(tab), end="")
     return 0
 
@@ -165,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--method", required=True,
                        help="method spec, e.g. gauss:s=3, hbvm:k=6,s=3, equip:s=3")
     p_tab.add_argument("--alpha", type=float, default=0.0,
-                       help="tableau parameter for equip with s >= 2 (default 0)")
+                       help="tableau parameter, equip only (default 0)")
     p_tab.add_argument("--csv", action="store_true", help="machine-readable output")
     p_tab.set_defaults(func=_cmd_tableau)
 

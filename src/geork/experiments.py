@@ -135,8 +135,8 @@ def convergence_study(methods, e: float, periods: int, h_grid, cfg: SolverConfig
     are the max deviation over the whole run.  The stepsizes in h_grid must
     be positive, distinct and each divide the time span.
     """
-    if periods < 1:
-        raise ValueError(f"the convergence campaign needs periods >= 1, got periods={periods}")
+    if not 1 <= periods < np.inf:  # NaN fails every comparison
+        raise ValueError(f"convergence needs finite periods >= 1, got periods={periods}")
     sys, state0 = kepler_system(e)
     y0 = state0.y
     total = periods * PERIOD
@@ -186,6 +186,8 @@ def run_adaptive_periods(method: MethodSpec, sys: HamiltonianSystem, y0,
     4 periods: Gauss(3) 96 steps against 95, EQUIP(3) 108 against 106, final
     states 9.6e-7 and 8.4e-8 apart in the max norm).
     """
+    if not isinstance(periods, (int, np.integer)):
+        raise ValueError(f"periods must be an integer, got periods={periods!r}")
     return integrate_adaptive(method, sys, y0, [n * period for n in range(1, periods + 1)],
                               tol, cfg)
 

@@ -165,11 +165,6 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
                       stage_iters=iters, alpha_iters=0)
 
 
-def _reject_equip1(s: int) -> None:
-    if s == 1:  # no alpha to tune, so every energy secant would stall
-        raise ValueError("equip:s=1 has no alpha to tune; use gauss:s=1")
-
-
 def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
                cfg: SolverConfig, alpha_prev: float = 0.0, t: float = 0.0,
                _depth: int = 0) -> StepRecord:
@@ -178,13 +173,12 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
     The secant on H(y_next(alpha)) - H(y) starts from alpha_prev.  If it fails
     the step is retried as two half-steps (up to 5 nested halvings); as a last
     resort the plain Gauss step (alpha = 0) is taken and the record flagged,
-    so missing conservation is always reported.
+    so missing conservation is always reported.  H(y) is taken after the first
+    stage solve succeeds, which has evaluated the field at y, so a y outside
+    the field's domain fails as a Divergence before any energy evaluation.
     """
-    _reject_equip1(s)
     if not -np.inf < alpha_prev < np.inf:  # NaN fails every comparison
         raise ValueError(f"alpha_prev must be finite, got alpha_prev={alpha_prev}")
-    H0 = float(sys.energy(y))
-    gtol = cfg.alpha_tol * (1.0 + abs(H0))
     alpha, stage_iters, Y = alpha_prev, 0, None
     for evals in range(1, cfg.max_alpha_iters + 1):
         tab = build_equip_tableau(s, alpha)
@@ -193,6 +187,9 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
         except (NonConvergence, Divergence):
             break
         stage_iters += iters
+        if evals == 1:
+            H0 = float(sys.energy(y))
+            gtol = cfg.alpha_tol * (1.0 + abs(H0))
         y_next = _update(tab, sys, y, h, Y)
         g = float(sys.energy(y_next)) - H0
         if abs(g) <= gtol:
@@ -229,7 +226,6 @@ def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
     Gauss and HBVM build their tableau once here; EQUIP builds one per alpha.
     """
     if method.kind == "equip":
-        _reject_equip1(method.s)
         return lambda y, h, t, alpha_prev: equip_step(method.s, sys, y, h, cfg, alpha_prev, t)
     tab = build_tableau(method)
     return lambda y, h, t, alpha_prev: rk_step(tab, sys, y, h, cfg, t)
@@ -284,13 +280,13 @@ def propose_factor(err_est: float, tol: float, p: int) -> float:
 
 
 def initial_stepsize(sys: HamiltonianSystem, y0: np.ndarray) -> float:
-    """Cheap first guess h ~ 0.1 |y| / |f(y)|, at least H_MIN.
+    """Cheap first guess h ~ 0.1 |y| / |f(y)|, at least H_MIN, also for a NaN field.
 
     Deliberately generous: an overestimate costs a few rejected steps, while
     an underestimate pollutes the accepted-step statistics with warm-up dust.
     """
     f0 = canonical_field(sys, y0)
-    return float(max(0.1 * (1.0 + abs(y0).max()) / (1.0 + abs(f0).max()), H_MIN))
+    return float(np.fmax(0.1 * (1.0 + abs(y0).max()) / (1.0 + abs(f0).max()), H_MIN))
 
 
 def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,

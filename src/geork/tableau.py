@@ -84,6 +84,8 @@ class MethodSpec:
             raise ValueError(f"unknown method kind {self.kind!r}")
         if self.s < 1:
             raise ValueError(f"s must be positive, got {self.s}")
+        if self.kind == "equip" and self.s < 2:  # no outermost pair for alpha to tune
+            raise ValueError("equip:s=1 has no alpha to tune; use gauss:s=1")
         if self.kind == "hbvm":
             if self.k is None:
                 raise ValueError("hbvm requires k")
@@ -148,12 +150,12 @@ def _node_basis(n_stages: int, s: int) -> tuple[QuadratureRule, np.ndarray]:
 
 def build_tableau(spec: MethodSpec, alpha: float = 0.0) -> ButcherTableau:
     """Construct the tableau a MethodSpec describes (alpha applies to equip only)."""
-    s = spec.s
-    if spec.kind != "equip" or s == 1:
-        alpha = 0.0
-    rule, W = _node_basis(spec.n_stages, s)
-    A = (W @ core_matrix(s, alpha) @ W[:, :s].T) * rule.weights
-    return ButcherTableau(A=A, b=rule.weights, c=rule.nodes, spec=spec, alpha=float(alpha))
+    if spec.kind != "equip" and alpha != 0.0:
+        raise ValueError(f"alpha has no effect on {spec}; only equip takes it")
+    rule, W = _node_basis(spec.n_stages, spec.s)
+    A = (W @ core_matrix(spec.s, alpha) @ W[:, :spec.s].T) * rule.weights
+    return ButcherTableau(A=A, b=rule.weights, c=rule.nodes, spec=spec,
+                          alpha=float(alpha) if spec.kind == "equip" else 0.0)
 
 
 def build_gauss(s: int) -> ButcherTableau:
@@ -167,7 +169,7 @@ def build_hbvm(k: int, s: int) -> ButcherTableau:
 
 
 def build_equip_tableau(s: int, alpha: float) -> ButcherTableau:
-    """EQUIP tableau on s Gauss nodes; alpha = 0 reduces to the Gauss method."""
+    """EQUIP tableau on s >= 2 Gauss nodes; alpha = 0 reduces to the Gauss method."""
     return build_tableau(MethodSpec("equip", s), alpha)
 
 

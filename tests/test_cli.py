@@ -11,10 +11,11 @@ from geork import cli
 from geork.cli import main, parse_method, parse_method_list
 from geork.tableau import KINDS, MethodSpec
 
-method_specs = st.builds(
-    lambda kind, s, extra: MethodSpec(kind, s, s + extra if kind == "hbvm" else None),
-    st.sampled_from(KINDS), st.integers(1, 64), st.integers(0, 64),
-)
+# EQUIP needs s >= 2: at s = 1 there is no alpha to tune
+method_specs = st.sampled_from(KINDS).flatmap(lambda kind: st.builds(
+    lambda s, extra: MethodSpec(kind, s, s + extra if kind == "hbvm" else None),
+    st.integers(2 if kind == "equip" else 1, 64), st.integers(0, 64),
+))
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +175,21 @@ def test_run_rejects_non_positive_or_non_finite_periods(periods, tmp_path, capsy
     assert not out.exists()
 
 
-def test_equip1_tableau_prints_but_does_not_run(tmp_path, capsys):
-    assert main(["tableau", "--method", "equip:s=1"]) == 0
-    capsys.readouterr()
-    rc = main(["run", "--method", "equip:s=1", "--h", "0.1", "--steps", "3",
-               "--out", str(tmp_path / "x.csv")])
+@pytest.mark.parametrize("args", [
+    ["tableau", "--method", "equip:s=1"],
+    ["run", "--method", "equip:s=1", "--h", "0.1", "--steps", "3"],
+    ["convergence", "--methods", "gauss:s=3,equip:s=1", "--periods", "1"],
+    ["drift", "--methods", "gauss:s=3,equip:s=1", "--periods", "3"],
+], ids=lambda args: args[0])
+def test_every_subcommand_rejects_equip1(args, tmp_path, capsys):
+    # EQUIP(1) is Gauss(1): there is no alpha to tune, so it is not a method
+    out = tmp_path / "x"
+    rc = main(args + ["--out", str(out)] if args[0] != "tableau" else args)
     assert rc == 1
-    assert "equip:s=1" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "equip:s=1" in captured.err and "gauss:s=1" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_convergence_subcommand(tmp_path, capsys):
@@ -251,13 +260,13 @@ def test_bad_method_diagnostic_names_subcommand(capsys):
     assert "k >= s" in err
 
 
-@pytest.mark.parametrize("method", ["gauss:s=2", "hbvm:k=6,s=3", "equip:s=1"])
+@pytest.mark.parametrize("method", ["gauss:s=2", "gauss:s=3", "hbvm:k=6,s=3"])
 def test_tableau_rejects_alpha_without_effect(method, capsys):
     rc = main(["tableau", "--method", method, "--alpha", "0.7"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--alpha has no effect" in captured.err
+    assert f"alpha has no effect on {method}" in captured.err
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

@@ -156,6 +156,16 @@ def test_reference_periodicity():
     np.testing.assert_allclose(kepler_reference(0.6, 2 * np.pi), state0.y, atol=1e-12)
 
 
+@given(e=st.floats(0.0, 0.9), t=st.floats(-20.0, 20.0))
+def test_reference_reversal_and_period(e, t):
+    # the orbit starts at periapsis, so running time backwards mirrors it in
+    # the q1 axis; a negative t takes the branch that shifts t mod 2 pi up
+    y = kepler_reference(e, t)
+    q1, q2, p1, p2 = y
+    np.testing.assert_allclose(kepler_reference(e, -t), [q1, -q2, -p1, p2], atol=1e-10)
+    np.testing.assert_allclose(kepler_reference(e, t + 2 * np.pi), y, atol=1e-10)
+
+
 def test_reference_apoapsis():
     y = kepler_reference(0.6, np.pi)
     np.testing.assert_allclose(y, [-1.6, 0.0, 0.0, -0.5], atol=1e-12)

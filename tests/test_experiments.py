@@ -84,6 +84,14 @@ def test_pinned_constant_exact():
     assert pinned_constant(res, slope=6.0) == pytest.approx(7.0, rel=1e-12)
 
 
+def test_pinned_constant_of_an_all_floored_series_is_nan():
+    samples = tuple((h, 1e-16) for h in (0.1, 0.05, 0.025))
+    res = ConvergenceResult(
+        method=GAUSS3, observable="solution_error", samples=samples,
+        floored=(True, True, True), slope=math.nan, constant=math.nan)
+    assert math.isnan(pinned_constant(res))
+
+
 def test_fine_slope_is_the_small_h_rate():
     # an order-6 error with a negative h^8 term, as HBVM(4,3) shows on Kepler:
     # on the default grid the chord falls below 5.5, the small-h rate does not
@@ -158,9 +166,10 @@ def test_study_failure_names_the_method_and_h():
 @pytest.fixture
 def no_integration(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("integrated before checking the stepsize grid")
+        raise AssertionError("integrated before checking the inputs")
 
     monkeypatch.setattr(experiments, "integrate_fixed", never)
+    monkeypatch.setattr(experiments, "integrate_adaptive", never)
 
 
 def test_study_rejects_a_repeated_stepsize_before_integrating(no_integration):
@@ -183,8 +192,30 @@ def test_study_rejects_periods_below_one(periods):
         convergence_study([GAUSS2], 0.6, periods, [PERIOD / 50], SolverConfig())
 
 
+@pytest.mark.parametrize("periods", [math.nan, math.inf])
+def test_study_rejects_non_finite_periods_before_integrating(periods, no_integration):
+    # NaN used to fail converting the step count, inf to overflow there
+    with pytest.raises(ValueError, match=f"finite periods >= 1, got periods={periods}"):
+        convergence_study([GAUSS2], 0.6, periods, [PERIOD / 50], SolverConfig())
+
+
 # ---------------------------------------------------------------------------
 # drift study
+
+
+@pytest.mark.parametrize("periods", [2.5, 3.0, math.nan, math.inf])
+def test_adaptive_periods_reject_a_non_integer_before_integrating(periods, no_integration):
+    # each used to raise a TypeError from range
+    sys, state0 = kepler_system(0.3)
+    with pytest.raises(ValueError, match=f"periods must be an integer, got periods={periods}"):
+        run_adaptive_periods(GAUSS3, sys, state0.y, periods, 1e-8, SolverConfig())
+
+
+@pytest.mark.parametrize("periods", [3.5, math.nan, math.inf])
+def test_drift_study_rejects_a_non_integer_period_count_before_integrating(periods,
+                                                                             no_integration):
+    with pytest.raises(ValueError, match=f"got periods={periods}"):
+        drift_study([GAUSS3], 0.3, periods, 1e-6, SolverConfig())
 
 
 @pytest.fixture(scope="module")

@@ -165,6 +165,12 @@ def test_stage_solve_divergence_on_blown_up_iterate(value, cfg):
                      0.1, cfg)
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_stage_solve_rejects_a_non_finite_h_before_any_evaluation(h, cfg):
+    with pytest.raises(ValueError, match="^stepsize must be finite$"):
+        rk_step(build_gauss(2), untouchable_system(), np.array([1.0, 0.0]), h, cfg)
+
+
 def test_solver_config_validation():
     # an infinite alpha_tol would accept EQUIP's first secant evaluation
     # unflagged, a NaN stage_tol would run every stage solve to its budget
@@ -214,10 +220,11 @@ def test_gauss3_order_six_over_one_period(cfg):
 def test_gauss_reversibility(s, alpha, h, t):
     # EQUIP(s, alpha) is symmetric for every alpha (alpha = 0 is Gauss(s)):
     # A + P A P = 1 b^T with P the node reversal, so stepping back by -h
-    # returns to the start up to the stage tolerance
+    # returns to the start up to the stage tolerance; at s = 1, where EQUIP
+    # has no alpha, Gauss(1)
     cfg = SolverConfig()
     sys, _ = kepler_system(0.6)
-    tab = build_equip_tableau(s, alpha)
+    tab = build_equip_tableau(s, alpha) if s > 1 else build_gauss(1)
     P = np.eye(s)[::-1]
     assert np.max(np.abs(tab.A + P @ tab.A @ P - np.outer(np.ones(s), tab.b))) <= 1e-14
     y = kepler_reference(0.6, t)
@@ -445,16 +452,12 @@ def test_non_finite_update_is_divergence(method, cfg):
 
 
 def test_drivers_reject_equip1_before_any_solve(cfg):
-    sys = untouchable_system()
-    y0 = np.array([1.0, 0.0])
-    equip1 = MethodSpec("equip", 1)
+    # EQUIP(1) is not a method, so no driver can be handed one
     with pytest.raises(ValueError, match="equip:s=1"):
-        integrate_fixed(equip1, sys, y0, 0.1, 3, cfg)
+        MethodSpec("equip", 1)
+    # and the EQUIP step builds its tableau before it touches the problem
     with pytest.raises(ValueError, match="equip:s=1"):
-        integrate_adaptive(equip1, sys, y0, [1.0], 1e-8, cfg)
-    # so does the EQUIP step itself
-    with pytest.raises(ValueError, match="equip:s=1"):
-        equip_step(1, sys, y0, 0.1, cfg)
+        equip_step(1, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
@@ -615,6 +618,8 @@ def test_initial_stepsize_clamps(harmonic):
     fast = HamiltonianSystem(name="fast", half_dim=1, energy=sys.energy,
                              field=lambda y: 1e12 * sys.field(y), invariants=sys.invariants)
     assert initial_stepsize(fast, state0.y) == H_MIN
+    # nor can a NaN one (Python's max would keep the NaN)
+    assert initial_stepsize(trapped_system({1}, np.nan), state0.y) == H_MIN
 
 
 def test_start_outside_the_domain_is_a_divergence(cfg):
@@ -682,12 +687,17 @@ failing_runs = [
      lambda m: run_adaptive_periods(m, *kepler(0.3), 3, 1e-8, SolverConfig(max_stage_iters=1)),
      (GAUSS3, EQUIP3)),
     ("adaptive-persistent-failure", MinStepReached, persistent_failure, (GAUSS3, EQUIP3)),
+    # a NaN field gives the first attempt h = H_MIN, not a NaN h
+    ("adaptive-nan-field", MinStepReached,
+     lambda m: integrate_adaptive(m, trapped_system(range(1, 10**6), np.nan),
+                                  np.array([1.0, 0.0]), [1.0], 1e-8, SolverConfig()),
+     (GAUSS3, EQUIP3)),
     ("adaptive-tol-1e-30", MinStepReached,
      lambda m: integrate_adaptive(m, *kepler(), [1.0], 1e-30, SolverConfig()),
      (MethodSpec("gauss", 1), GAUSS3, EQUIP3)),
-    # EQUIP's first energy evaluation at the origin divides by zero, so only Gauss here
     ("fixed-origin", Divergence,
-     lambda m: integrate_fixed(m, kepler()[0], ORIGIN, 0.1, 3, SolverConfig()), (GAUSS3,)),
+     lambda m: integrate_fixed(m, kepler()[0], ORIGIN, 0.1, 3, SolverConfig()),
+     (GAUSS3, EQUIP3)),
     ("adaptive-origin", Divergence,
      lambda m: integrate_adaptive(m, kepler()[0], ORIGIN, [1.0], 1e-8, SolverConfig()),
      (GAUSS3, EQUIP3)),
@@ -697,6 +707,7 @@ failing_runs = [
 ]
 
 
+@pytest.mark.filterwarnings("error")  # a failing run fails cleanly, without warnings
 @pytest.mark.parametrize("error, run, method", [
     pytest.param(error, run, method, id=f"{name}-{method}")
     for name, error, run, methods in failing_runs for method in methods])

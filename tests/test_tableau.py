@@ -20,6 +20,11 @@ from geork.tableau import (
 TOL = 1e-12  # elementwise tableau comparison tolerance
 
 
+def equip_tableaus(alphas):
+    """EQUIP(s, alpha) for s in 2..6, or Gauss(1), which EQUIP would be at s = 1."""
+    return st.builds(build_equip_tableau, st.integers(2, 6), alphas) | st.just(build_gauss(1))
+
+
 def collocation_gauss(s):
     """Independent Gauss tableau from the collocation conditions.
 
@@ -152,9 +157,10 @@ def test_gauss_matches_collocation_oracle(s):
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
 def test_equip_alpha0_and_hbvm_ks_reduce_to_gauss(s):
-    # one formula builds all three families, so the reduction is bit-exact
+    # one formula builds all three families, so the reduction is bit-exact;
+    # EQUIP starts at s = 2
     g = build_gauss(s)
-    for t in (build_equip_tableau(s, 0.0), build_hbvm(s, s)):
+    for t in [build_hbvm(s, s)] + ([build_equip_tableau(s, 0.0)] if s > 1 else []):
         np.testing.assert_array_equal(t.A, g.A)
         np.testing.assert_array_equal(t.b, g.b)
         np.testing.assert_array_equal(t.c, g.c)
@@ -246,9 +252,9 @@ def test_equip_symplectic_for_every_alpha():
             assert symplecticity_residual(build_equip_tableau(s, alpha)) <= 1e-12
 
 
-@given(s=st.integers(1, 6), alpha=st.floats(-2.0, 2.0))
-def test_equip_symplectic_property(s, alpha):
-    assert symplecticity_residual(build_equip_tableau(s, alpha)) <= 1e-12
+@given(t=equip_tableaus(st.floats(-2.0, 2.0)))
+def test_equip_symplectic_property(t):
+    assert symplecticity_residual(t) <= 1e-12
 
 
 def test_hbvm_above_s_is_not_symplectic():
@@ -305,6 +311,9 @@ def test_method_spec_validation():
         MethodSpec(kind="radau", s=3)
     with pytest.raises(ValueError):
         MethodSpec(kind="gauss", s=0)
+    # EQUIP(1) has no alpha to tune: it is Gauss(1)
+    with pytest.raises(ValueError, match="equip:s=1 has no alpha to tune; use gauss:s=1"):
+        MethodSpec(kind="equip", s=1)
     spec = MethodSpec(kind="hbvm", s=3, k=9)
     assert spec.n_stages == 9
     assert spec.order == 6
@@ -315,6 +324,16 @@ def test_build_tableau_dispatch():
     assert build_tableau(MethodSpec("gauss", 3)).spec.kind == "gauss"
     assert build_tableau(MethodSpec("hbvm", 3, 6)).n_stages == 6
     assert build_tableau(MethodSpec("equip", 3), alpha=0.1).alpha == 0.1
+
+
+@pytest.mark.parametrize("spec", [MethodSpec("gauss", 1), MethodSpec("gauss", 3),
+                                  MethodSpec("hbvm", 3, 6)], ids=str)
+def test_build_tableau_rejects_alpha_without_effect(spec):
+    # only EQUIP has an alpha; a nonzero one elsewhere used to be dropped silently
+    with pytest.raises(ValueError, match=f"^alpha has no effect on {spec}; only equip takes it$"):
+        build_tableau(spec, alpha=0.5)
+    # a zero of either sign is no alpha at all
+    assert np.copysign(1.0, build_tableau(spec, alpha=-0.0).alpha) == 1.0
 
 
 def test_format_tableau_shape():
@@ -340,11 +359,10 @@ def test_tableau_csv_shape():
     assert float(lines[4].split(",")[0]) == t.c[0]
 
 
-@given(s=st.integers(1, 6), alpha=st.floats(-1e3, 1e3))
-@example(s=3, alpha=-0.0)
-@example(s=3, alpha=5e-324)
-def test_equip_tableau_csv_round_trips(s, alpha):
-    t = build_equip_tableau(s, alpha)
+@given(t=equip_tableaus(st.floats(-1e3, 1e3)))
+@example(t=build_equip_tableau(3, -0.0))
+@example(t=build_equip_tableau(3, 5e-324))
+def test_equip_tableau_csv_round_trips(t):
     lines = tableau_csv(t).splitlines()
     assert float(lines[3].removeprefix("# alpha ")).hex() == float(t.alpha).hex()
     rows = [[float(x) for x in line.split(",")[1:]] for line in lines[4:]]
