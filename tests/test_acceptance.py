@@ -2,22 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.  The expensive campaigns (fixed-step convergence, adaptive
-drift) run once as module fixtures and are shared across criteria.
+drift) are session fixtures in conftest.py, shared across the criteria and
+with the comparison against the reference outputs in test_reference.py.
 """
 
 import numpy as np
 import pytest
 
 from geork.dynamics import kepler_system, quartic_oscillator
-from geork.experiments import (
-    PERIOD,
-    convergence_study,
-    drift_reports,
-    fit_order,
-    pinned_constant,
-    run_adaptive_periods,
-    write_convergence_csv,
-)
+from geork.experiments import fit_order, pinned_constant, write_convergence_csv
 from geork.integrator import SolverConfig, integrate_fixed
 from geork.quadrature import gauss_rule, legendre_eval, vandermonde
 from geork.tableau import (
@@ -37,10 +30,7 @@ HBVM12 = MethodSpec("hbvm", 3, 12)
 EQUIP3 = MethodSpec("equip", 3)
 
 CFG = SolverConfig()
-DRIFT_TOL = 1e-8
-DRIFT_PERIODS = 20
-CONV_PERIODS = 10
-H_DIVISORS = (50, 70, 100, 140, 200)
+DRIFT_TOL = 1e-8  # the drift campaign's controller tolerance (see conftest.py)
 REF_SUBSTEPS = 400
 
 
@@ -53,22 +43,15 @@ def report(num, desc, failures):
 
 
 @pytest.fixture(scope="module")
-def conv():
-    methods = [GAUSS3, HBVM4, HBVM6, HBVM9, HBVM12, EQUIP3]
-    h_grid = [PERIOD / d for d in H_DIVISORS]
-    results = convergence_study(methods, 0.6, CONV_PERIODS, h_grid, CFG)
-    return {(str(r.method), r.observable): r for r in results}
+def conv(convergence_campaign):
+    return {(str(r.method), r.observable): r for r in convergence_campaign}
 
 
 @pytest.fixture(scope="module")
-def drift():
-    sys, state0 = kepler_system(0.99)
-    data = {}
-    for method in (GAUSS3, HBVM12, EQUIP3):
-        per = run_adaptive_periods(method, sys, state0.y, DRIFT_PERIODS, DRIFT_TOL, CFG)
-        reports = drift_reports(method, per, sys, state0.y, DRIFT_TOL)
-        data[str(method)] = (per, {r.invariant: r for r in reports})
-    return sys, state0, data
+def drift(drift_campaign):
+    sys, state0, data = drift_campaign
+    return sys, state0, {name: (per, {r.invariant: r for r in reports})
+                         for name, (per, reports) in data.items()}
 
 
 def collocation_gauss(s):
