@@ -1,8 +1,9 @@
-"""Hamiltonian test problems: canonical vector fields, invariants, references.
+"""Hamiltonian test problems: forces, invariants, references.
 
-State layout is (q_1..q_m, p_1..p_m).  Energy and field callables accept
-arrays of shape (..., 2m) and broadcast over leading axes, so a whole stack of
-stage vectors can be evaluated in one call.
+Every problem has H(q, p) = |p|^2/2 + V(q), so it gives only its force
+-grad V, and the canonical field (p, force(q)) is built from that.  State
+layout is (q_1..q_m, p_1..p_m).  Energies take (..., 2m) arrays and forces
+(..., m) arrays, broadcasting over leading axes: a stack is one call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = [
     "quartic_oscillator",
 ]
 
-# Kepler field guard: periapsis distance at e = 0.99 is 0.01, so states of
+# Kepler force guard: periapsis distance at e = 0.99 is 0.01, so states of
 # a healthy run never get anywhere near this radius
 _MIN_RADIUS = 1e-8
 
@@ -48,9 +49,9 @@ class State:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
-    """Canonical Hamiltonian problem of dimension 2 * half_dim.
+    """Mechanical Hamiltonian problem H = |p|^2/2 + V(q) of dimension 2 * half_dim.
 
-    ``field`` is the canonical vector field (dH/dp, -dH/dq), which raises
+    ``force`` is -grad V of an (..., half_dim) stack of positions, and raises
     DomainError outside the problem's domain.  ``invariants`` maps short names
     to scalar functions of the state and always contains the energy under "H".
     """
@@ -58,13 +59,18 @@ class HamiltonianSystem:
     name: str
     half_dim: int
     energy: Callable[[np.ndarray], np.ndarray]
-    field: Callable[[np.ndarray], np.ndarray]
+    force: Callable[[np.ndarray], np.ndarray]
     invariants: dict[str, Callable[[np.ndarray], np.ndarray]]
 
+    def field(self, y: np.ndarray) -> np.ndarray:
+        """The canonical vector field (dH/dp, -dH/dq) = (p, force(q))."""
+        y, m = np.asarray(y, dtype=float), self.half_dim
+        return np.concatenate([y[..., m:], self.force(y[..., :m])], axis=-1)
+
     def gradient(self, y: np.ndarray) -> np.ndarray:
-        """(dH/dq, dH/dp), read off the field (negation is exact)."""
-        f, m = self.field(y), self.half_dim
-        return np.concatenate([-f[..., m:], f[..., :m]], axis=-1)
+        """(dH/dq, dH/dp) = (-force(q), p) (negation is exact)."""
+        y, m = np.asarray(y, dtype=float), self.half_dim
+        return np.concatenate([-self.force(y[..., :m]), y[..., m:]], axis=-1)
 
 
 def _kepler_energy(y: np.ndarray) -> np.ndarray:
@@ -73,17 +79,14 @@ def _kepler_energy(y: np.ndarray) -> np.ndarray:
     return 0.5 * (p1 * p1 + p2 * p2) - 1.0 / np.sqrt(q1 * q1 + q2 * q2)
 
 
-def _kepler_field(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    r2 = y[..., 0] ** 2 + y[..., 1] ** 2
-    # NaN fails the comparison, so a NaN state is rejected as well
+def _kepler_force(q: np.ndarray) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    r2 = q[..., 0] ** 2 + q[..., 1] ** 2
+    # NaN fails the comparison, so a NaN position is rejected as well
     if not (r2.min() >= _MIN_RADIUS**2):
-        raise DomainError(f"kepler field evaluated at radius < {_MIN_RADIUS} or at NaN")
-    f = np.empty_like(y)
-    f[..., :2] = y[..., 2:]
+        raise DomainError(f"kepler force evaluated at radius < {_MIN_RADIUS} or at NaN")
     # np.power: for one state r2 is a NumPy scalar, whose ** may round unlike a stack's
-    f[..., 2:] = y[..., :2] * (-np.power(r2, -1.5))[..., None]
-    return f
+    return q * (-np.power(r2, -1.5))[..., None]
 
 
 def angular_momentum(y: np.ndarray) -> np.ndarray:
@@ -133,7 +136,7 @@ def kepler_system(e: float) -> tuple[HamiltonianSystem, State]:
         name="kepler",
         half_dim=2,
         energy=_kepler_energy,
-        field=_kepler_field,
+        force=_kepler_force,
         invariants={"H": _kepler_energy, "L": angular_momentum},
     )
     return sys, State(t=0.0, y=y0)
@@ -144,12 +147,8 @@ def _quartic_energy(y: np.ndarray) -> np.ndarray:
     return 0.5 * y[..., 1] ** 2 + 0.25 * y[..., 0] ** 4
 
 
-def _quartic_field(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    f = np.empty_like(y)
-    f[..., 0] = y[..., 1]
-    f[..., 1] = -y[..., 0] ** 3
-    return f
+def _quartic_force(q: np.ndarray) -> np.ndarray:
+    return -np.asarray(q, dtype=float) ** 3
 
 
 def quartic_oscillator() -> tuple[HamiltonianSystem, State]:
@@ -158,7 +157,7 @@ def quartic_oscillator() -> tuple[HamiltonianSystem, State]:
         name="quartic",
         half_dim=1,
         energy=_quartic_energy,
-        field=_quartic_field,
+        force=_quartic_force,
         invariants={"H": _quartic_energy},
     )
     return sys, State(t=0.0, y=np.array([1.0, 0.0]))

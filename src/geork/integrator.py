@@ -2,17 +2,20 @@
 
 The stage systems Y_i = y + h sum_j a_ij f(Y_j) are solved by fixed-point
 iteration, which preserves the tableau exactly and is contractive at the
-benchmark stepsizes.  EQUIP steps wrap the stage solve in a scalar secant
-iteration that tunes the tableau parameter alpha until the step conserves the
-energy.  Within one step each secant evaluation starts its stage iteration
-from the previous evaluation's converged stages, which differ from the new
-ones only by O(delta alpha); the first evaluation of a step starts from y.
-When an evaluation's stage solve fails, the secant stalls (zero or
-non-finite denominator, non-finite alpha) or the evaluation budget runs out,
-the step falls back to two half-steps, and after five nested halvings to the
-plain Gauss step, flagged.  A non-finite step result raises Divergence out of
-the step, EQUIP or not; the fallback does not catch it.  The two drivers are
-where a failure gets its context.
+benchmark stepsizes.  As H = |p|^2/2 + V(q), f(Q, P) = (P, F(Q)), and each
+sweep is partitioned: P = p + hA F(Q) from the old positions, then
+Q = q + hA P from the new momenta, with one field call; on a linear problem
+that squares the plain sweep's contraction factor.  EQUIP steps wrap the
+stage solve in a scalar secant iteration that tunes the tableau parameter
+alpha until the step conserves the energy.  Within one step each secant
+evaluation starts its stage iteration from the previous evaluation's
+converged stages, which differ from the new ones only by O(delta alpha); the
+first evaluation of a step starts from y.  When an evaluation's stage solve
+fails, the secant stalls (zero or non-finite denominator, non-finite alpha)
+or the evaluation budget runs out, the step falls back to two half-steps,
+and after five nested halvings to the plain Gauss step, flagged.  A
+non-finite step result raises Divergence out of the step, EQUIP or not; the
+fallback does not catch it.  The drivers give a failure its context.
 """
 
 from __future__ import annotations
@@ -118,23 +121,30 @@ def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
 
 def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
                  h: float, cfg: SolverConfig, Y0: np.ndarray | None = None):
-    """Solve the implicit stage system by fixed-point iteration.
+    """Solve the implicit stage system by partitioned fixed-point iteration.
 
     Returns (stages, iterations).  Stages come back as an (n_stages, dim)
-    array whose rows satisfy the stage equations to within
-    stage_tol * (1 + |y|_inf).  The iteration starts from Y0, an
-    (n_stages, dim) guess such as the stages of a nearby tableau, or from y
-    in every row when Y0 is None; the start changes only the iteration
-    count, not the tolerance the result meets.  Negative h is legal (it runs
-    the method backwards, used by the reversibility checks).
+    array (Q, P) with Q = q + hA P to round-off; the last sweep changed no
+    entry of either block by more than stage_tol * (1 + |y|_inf), which
+    bounds the P block's stage residual by about as much.  The iteration
+    starts from Y0, an (n_stages, dim) guess such as the stages of a nearby
+    tableau, or from y in every row when Y0 is None; the start changes only
+    the iteration count, not the tolerance the result meets.  Negative h is
+    legal (it runs the method backwards, used by the reversibility checks).
     """
     if not np.isfinite(h):
         raise ValueError("stepsize must be finite")
     tol = cfg.stage_tol * (1.0 + abs(y).max())
     hA = h * tab.A
-    Y = np.broadcast_to(y, (len(tab.b), y.size)) if Y0 is None else Y0
+    n, m = len(tab.b), sys.half_dim
+    # Q = q + hA P = q + hA p + (hA)^2 F(Q): base holds the force-free terms and
+    # rows 2i, 2i + 1 of M stage i's Q and P force terms, so one product gives both
+    M = np.concatenate([hA @ hA, hA], axis=1).reshape(2 * n, n)
+    rows = np.broadcast_to(y, (n, y.size))
+    base = np.concatenate([rows[:, :m] + hA @ rows[:, m:], rows[:, m:]], axis=1)
+    Y = rows if Y0 is None else Y0
     for it in range(1, cfg.max_stage_iters + 1):
-        Z = y + hA @ canonical_field(sys, Y)
+        Z = base + (M @ canonical_field(sys, Y)[:, m:]).reshape(n, 2 * m)
         res = abs(Y - Z).max()
         Y = Z
         if res <= tol:

@@ -55,11 +55,13 @@ def core_matrix(s: int, alpha: float = 0.0) -> np.ndarray:
 
     Entry (1,1) is 1/2 and mode j couples to mode j + 1 through -xi_j above
     and +xi_j below the diagonal; row s + 1 carries only xi_s.  alpha is
-    added to the outermost pair of the top s x s block, so for s = 1 (no such
-    pair) it is ignored.
+    added to the outermost pair of the top s x s block, so s = 1 (no such
+    pair) takes only alpha = 0.
     """
     if s < 1:
         raise ValueError(f"s must be positive, got {s}")
+    if s == 1 and alpha != 0.0:  # NaN differs from 0 as well
+        raise ValueError(f"core_matrix(1) has no pair for alpha to perturb, got alpha={alpha}")
     X = np.zeros((s + 1, s))
     X[0, 0] = 0.5
     for j in range(1, s + 1):

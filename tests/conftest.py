@@ -12,9 +12,8 @@ def _harmonic_energy(y):
     return 0.5 * (y[..., 0] ** 2 + y[..., 1] ** 2)
 
 
-def _harmonic_field(y):
-    y = np.asarray(y, dtype=float)
-    return np.stack([y[..., 1], -y[..., 0]], axis=-1)
+def _harmonic_force(q):
+    return -np.asarray(q, dtype=float)
 
 
 def harmonic_oscillator():
@@ -23,7 +22,7 @@ def harmonic_oscillator():
         name="harmonic",
         half_dim=1,
         energy=_harmonic_energy,
-        field=_harmonic_field,
+        force=_harmonic_force,
         invariants={"H": _harmonic_energy},
     )
     return sys, State(t=0.0, y=np.array([1.0, 0.0]))

@@ -73,6 +73,23 @@ def test_field_properties(problem):
                                    rtol=1e-6, atol=1e-6 * (1.0 + np.max(np.abs(f))))
 
 
+@pytest.mark.parametrize("problem", ["kepler", "quartic", "harmonic"])
+def test_field_is_the_momenta_then_the_force(problem, harmonic):
+    sys = {"kepler": kepler_system(0.6)[0], "quartic": quartic_oscillator()[0],
+           "harmonic": harmonic[0]}[problem]
+    m = sys.half_dim
+    # positions in [0.5, 2] keep Kepler inside its domain
+    Y = np.random.default_rng(5).uniform(0.5, 2.0, size=(6, 2 * m))
+    for stack in (Y, Y[0], Y.reshape(2, 3, 2 * m)):
+        F, force = sys.field(stack), sys.force(stack[..., :m])
+        # bit for bit, so -0.0 and 0.0 differ
+        assert F.shape == stack.shape and force.shape == stack[..., m:].shape
+        assert F[..., :m].tobytes() == stack[..., m:].tobytes()
+        assert F[..., m:].tobytes() == force.tobytes()
+        assert sys.gradient(stack).tobytes() == np.concatenate(
+            [-force, stack[..., m:]], axis=-1).tobytes()
+
+
 @pytest.mark.parametrize("make", [lambda: kepler_system(0.6), quartic_oscillator])
 def test_field_is_orthogonal_to_gradient(make):
     sys, state0 = make()
@@ -136,7 +153,7 @@ def test_kepler_gradient_guards_collision():
     sys, _ = kepler_system(0.6)
     healthy = [1.0, 0.0, 0.0, 1.0]
     for bad in ([1e-9, 0.0, 0.0, 1.0], [0.7e-8, 0.7e-8, 0.0, 1.0], [np.nan, 0.0, 0.0, 1.0]):
-        for evaluate in (sys.field, sys.gradient):
+        for evaluate in (sys.field, sys.gradient, lambda y: sys.force(y[..., :2])):
             with pytest.raises(DomainError):
                 evaluate(np.array(bad))
             # one bad row in a stack of stage vectors is enough, wherever it sits

@@ -339,12 +339,8 @@ def _planar_harmonic():
     def energy(y):
         return 0.5 * np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
 
-    def field(y):
-        y = np.asarray(y, dtype=float)
-        return np.concatenate([y[..., 2:], -y[..., :2]], axis=-1)
-
     sys = HamiltonianSystem(name="planar-harmonic", half_dim=2, energy=energy,
-                            field=field, invariants={"H": energy})
+                            force=lambda q: -np.asarray(q, dtype=float), invariants={"H": energy})
     return sys, State(t=0.0, y=np.array([1.0, 0.0, 0.0, 1.0]))
 
 
@@ -423,7 +419,7 @@ def _inert_system():
         return np.zeros(np.shape(y)[:-1])
 
     return HamiltonianSystem(name="inert", half_dim=2, energy=energy,
-                             field=lambda y: np.zeros_like(y), invariants={"H": energy})
+                             force=lambda q: np.zeros(np.shape(q)), invariants={"H": energy})
 
 
 @given(rows=st.lists(st.tuples(*[finite] * 7), min_size=1, max_size=5))

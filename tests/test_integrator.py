@@ -42,23 +42,24 @@ def stage_residual(tab, sys, y, h, Y):
 
 
 def trapped_system(traps, value=np.inf):
-    """H = 0, so the field vanishes, except that it is value on the calls in traps.
+    """H = 0 and a zero force, except that the force is value on the calls in traps.
 
-    A zero field converges the stage solve on its first iteration, so each
-    step evaluates the field twice: the stage solve on odd calls (1, 3, ...)
-    and the update y + h sum b_i f(Y_i) on even calls (2, 4, ...).
+    From a start at rest (p = 0) the field vanishes, which converges the
+    stage solve on its first iteration, so each step evaluates the field
+    twice: the stage solve on odd calls (1, 3, ...) and the update
+    y + h sum b_i f(Y_i) on even calls (2, 4, ...).
     """
     calls = itertools.count(1)
 
-    def field(y):
-        y = np.asarray(y, dtype=float)
-        return np.full_like(y, value if next(calls) in traps else 0.0)
+    def force(q):
+        q = np.asarray(q, dtype=float)
+        return np.full_like(q, value if next(calls) in traps else 0.0)
 
     def energy(y):
         return np.zeros(np.shape(y)[:-1])
 
     return HamiltonianSystem(name="trapped", half_dim=1, energy=energy,
-                             field=field, invariants={"H": energy})
+                             force=force, invariants={"H": energy})
 
 
 def untouchable_system():
@@ -67,7 +68,7 @@ def untouchable_system():
         raise AssertionError("the problem was evaluated")
 
     return HamiltonianSystem(name="untouchable", half_dim=1, energy=untouchable,
-                             field=untouchable, invariants={"H": untouchable})
+                             force=untouchable, invariants={"H": untouchable})
 
 
 @pytest.fixture
@@ -147,6 +148,40 @@ def test_equip_warm_start_saves_stage_iterations(cfg):
     recs = integrate_fixed(EQUIP3, sys, state0.y, T / 100, 100, cfg)
     ratio = sum(r.stage_iters for r in recs) / sum(r.alpha_iters for r in recs)
     assert ratio <= 7.5
+
+
+@pytest.mark.parametrize("tab_builder, budget", [
+    (lambda: build_gauss(3), 8),
+    (lambda: build_hbvm(12, 3), 8),
+    (lambda: build_equip_tableau(3, 0.05), 9),
+])
+def test_partitioned_sweep_iteration_count(tab_builder, budget, harmonic, cfg):
+    # updating Q from the new P squares the contraction factor on this linear
+    # problem: a sweep that took Q from the old P needs 15, 15 and 16 here
+    sys, state0 = harmonic
+    _, iters = solve_stages(tab_builder(), sys, state0.y, 0.5, cfg)
+    assert iters <= budget
+
+
+@settings(deadline=None, max_examples=60)
+@given(r=st.floats(0.5, 2.0), theta=st.floats(0.0, T),
+       p=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       h=st.floats(-0.1, 0.1), tab=st.sampled_from(["gauss", "hbvm", "equip"]),
+       alpha=st.floats(-0.2, 0.2))
+def test_stages_solve_the_partitioned_equations(r, theta, p, h, tab, alpha):
+    # Q = q + hA P holds to round-off (a sweep forms it as
+    # q + hA p + (hA)^2 F(Q)), and P = p + hA F(Q) within the tolerance the
+    # last sweep's change met
+    cfg = SolverConfig()
+    sys, _ = kepler_system(0.6)
+    y = np.array([r * np.cos(theta), r * np.sin(theta), *p])
+    tab = {"gauss": build_gauss(3), "hbvm": build_hbvm(12, 3),
+           "equip": build_equip_tableau(3, alpha)}[tab]
+    Y, _ = solve_stages(tab, sys, y, h, cfg)
+    Q, P, hA = Y[:, :2], Y[:, 2:], h * tab.A
+    scale = 1.0 + np.max(np.abs(y))
+    assert np.max(np.abs(Q - (y[:2] + hA @ P))) <= 8 * np.finfo(float).eps * scale
+    assert np.max(np.abs(P - (y[2:] + hA @ sys.force(Q)))) <= cfg.stage_tol * scale
 
 
 def test_nonconvergence_signalled(cfg):
@@ -279,17 +314,17 @@ def test_equip_flagged_fallback():
 
 
 def test_domain_error_is_a_divergence_the_controller_retries(harmonic, cfg, first_h):
-    # the field leaves its domain on call 2, the first attempt's second
+    # the force leaves its domain on call 2, the first attempt's second
     # stage iteration; the controller halves h and carries on
     sys, state0 = harmonic
     calls = itertools.count(1)
 
-    def field(y):
+    def force(q):
         if next(calls) == 2:
             raise DomainError("outside the domain")
-        return sys.field(y)
+        return sys.force(q)
 
-    edgy = HamiltonianSystem(name="edgy", half_dim=1, energy=sys.energy, field=field,
+    edgy = HamiltonianSystem(name="edgy", half_dim=1, energy=sys.energy, force=force,
                              invariants=sys.invariants)
     with pytest.raises(Divergence, match="vector field domain error"):
         rk_step(build_gauss(2), edgy, state0.y, 0.1, cfg)
@@ -299,18 +334,18 @@ def test_domain_error_is_a_divergence_the_controller_retries(harmonic, cfg, firs
 
 
 def test_equip_secant_with_a_flat_energy_falls_back_flagged(cfg):
-    # y_next = y + h (1, 0) for every alpha, so g = H(y_next) - H(y) = h never
-    # moves: the secant denominator is zero at every halving depth
+    # no force and p = 1, so y_next = y + h (1, 0) for every alpha and
+    # g = H(y_next) - H(y) = h never moves: the secant denominator is zero at
+    # every halving depth
     def energy(y):
         return np.asarray(y, dtype=float)[..., 0]
 
     flat = HamiltonianSystem(name="flat", half_dim=1, energy=energy,
-                             field=lambda y: np.broadcast_to([1.0, 0.0], np.shape(y)),
-                             invariants={"H": energy})
-    rec = equip_step(3, flat, np.array([0.0, 0.0]), 0.1, cfg)
+                             force=lambda q: np.zeros(np.shape(q)), invariants={"H": energy})
+    rec = equip_step(3, flat, np.array([0.0, 1.0]), 0.1, cfg)
     assert rec.flagged
     assert rec.state.t == pytest.approx(0.1)
-    np.testing.assert_allclose(rec.state.y, [0.1, 0.0], atol=1e-15)
+    np.testing.assert_allclose(rec.state.y, [0.1, 1.0], atol=1e-15)
 
 
 def test_equip_failed_stage_solve_halves_but_non_finite_update_escapes(cfg):
@@ -616,7 +651,7 @@ def test_initial_stepsize_clamps(harmonic):
     assert initial_stepsize(sys, state0.y) == pytest.approx(0.1)
     # a huge field cannot push the first guess below H_MIN
     fast = HamiltonianSystem(name="fast", half_dim=1, energy=sys.energy,
-                             field=lambda y: 1e12 * sys.field(y), invariants=sys.invariants)
+                             force=lambda q: 1e12 * sys.force(q), invariants=sys.invariants)
     assert initial_stepsize(fast, state0.y) == H_MIN
     # nor can a NaN one (Python's max would keep the NaN)
     assert initial_stepsize(trapped_system({1}, np.nan), state0.y) == H_MIN

@@ -61,7 +61,8 @@ def compare_series(ref, new, slopes: bool):
         r, n = ref[key], new[key]
         name = "/".join(key)
         if [x for x, _ in r] != [x for x, _ in n]:
-            failures.append(f"{name}: sampled at {[x for x, _ in n]}, reference {[x for x, _ in r]}")
+            failures.append(f"{name}: sampled at {[x for x, _ in n]}, "
+                            f"reference {[x for x, _ in r]}")
             continue
         for (x, want), (_, got) in zip(r, n):
             if want > TRUNCATION:

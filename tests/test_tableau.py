@@ -74,9 +74,13 @@ def test_xi_values():
         xi(0)
 
 
-def test_core_matrix_s1_ignores_alpha():
-    np.testing.assert_array_equal(core_matrix(1, 123.0), [[0.5], [xi(1)]])
-    np.testing.assert_array_equal(core_matrix(1, 123.0), core_matrix(1))
+def test_core_matrix_s1_rejects_alpha():
+    # s = 1 has no outermost pair for alpha to perturb, so a nonzero alpha
+    # would be dropped unseen, as build_tableau refuses to for Gauss and HBVM
+    np.testing.assert_array_equal(core_matrix(1), [[0.5], [xi(1)]])
+    for alpha in (123.0, -1e-300, np.nan):
+        with pytest.raises(ValueError, match=f"alpha={alpha}"):
+            core_matrix(1, alpha)
 
 
 def test_core_matrix_s2():
@@ -100,7 +104,7 @@ def test_core_matrix_skew_structure():
     rng = np.random.default_rng(7)
     for s in range(1, 7):
         for alpha in rng.uniform(-2, 2, size=3):
-            X = core_matrix(s, alpha)[:s]
+            X = core_matrix(s, alpha if s > 1 else 0.0)[:s]  # s = 1 takes no alpha
             e1e1 = np.zeros((s, s))
             e1e1[0, 0] = 1.0
             np.testing.assert_allclose(X + X.T, e1e1, atol=1e-15)
@@ -115,7 +119,8 @@ def test_extended_core_matrix():
         bottom = np.zeros(s)
         bottom[-1] = xi(s)
         np.testing.assert_array_equal(core_matrix(s)[s], bottom)
-        np.testing.assert_array_equal(core_matrix(s, 0.7)[s], bottom)
+        if s > 1:  # s = 1 takes no alpha
+            np.testing.assert_array_equal(core_matrix(s, 0.7)[s], bottom)
 
 
 def test_core_matrix_is_read_only():
