@@ -69,20 +69,8 @@ def parse_method_list(text: str) -> list[MethodSpec]:
     return [parse_method(g) for g in groups]
 
 
-def _write_or_discard(path, writer):
-    try:
-        writer(path)
-    except OSError:
-        if os.path.exists(path):
-            os.unlink(path)
-        raise
-
-
 def _cmd_tableau(args) -> int:
-    spec = parse_method(args.method)
-    if not np.isfinite(args.alpha):
-        raise ValueError(f"--alpha must be finite, got {args.alpha}")
-    tab = build_tableau(spec, alpha=args.alpha)
+    tab = build_tableau(parse_method(args.method), alpha=args.alpha)
     print(tableau_csv(tab) if args.csv else format_tableau(tab), end="")
     return 0
 
@@ -107,7 +95,7 @@ def _cmd_run(args) -> int:
             raise ValueError(f"--periods must be positive and finite, got {args.periods}")
         (records,) = integrate_adaptive(spec, sys_, state0.y, [args.periods * PERIOD],
                                         args.tol, cfg)
-    _write_or_discard(args.out, lambda p: write_step_csv(records, p, sys_, state0.y))
+    write_step_csv(records, args.out, sys_, state0.y)
     print(f"wrote {len(records)} steps to {args.out}")
     return 0
 
@@ -115,13 +103,13 @@ def _cmd_run(args) -> int:
 def _write_campaign(args, items, write_csv, write_plot, lines) -> int:
     """Write the campaign CSV, print one line per series, then the optional plot."""
     csv_path = args.out + ".csv"
-    _write_or_discard(csv_path, lambda p: write_csv(items, p))
+    write_csv(items, csv_path)
     print(f"wrote {csv_path}")
     for line in lines:
         print(f"  {line}")
     if args.plot:
         gp_path = args.out + ".gp"
-        _write_or_discard(gp_path, lambda p: write_plot(csv_path, p, items))
+        write_plot(csv_path, gp_path, items)
         print(f"wrote {gp_path}")
     return 0
 
@@ -204,6 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        out_dir = os.path.dirname(getattr(args, "out", "")) or "."
+        if not os.path.isdir(out_dir):  # checked before, not after, the integration
+            raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
         return args.func(args)
     except (ValueError, IntegrationError, OSError) as exc:
         print(f"geork {args.subcommand}: error: {exc}", file=_sys.stderr)

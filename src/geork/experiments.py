@@ -7,6 +7,7 @@ scripts).  Campaigns run their cells one after another, method by method.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -243,14 +244,24 @@ def drift_study(methods, e: float, periods: int, tol: float, cfg: SolverConfig):
 # persistence
 
 
+def _write_lines(path, lines) -> None:
+    """The one writer of output files: lines to path, each ended by LF.
+
+    A failed open leaves path untouched; a later failure removes the file.
+    """
+    fh = open(path, "w", newline="\n")
+    try:
+        with fh:
+            fh.writelines(line + "\n" for line in lines)
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
 def _write_rows(path, header, rows, comments=()) -> None:
-    """CSV with LF line ends: the header, one line per row, then "# " comment lines."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
+    """CSV: the header, one line per row, then "# " comment lines."""
+    _write_lines(path, itertools.chain([",".join(header)], map(",".join, rows),
+                                       (f"# {line}" for line in comments)))
 
 
 def write_step_csv(records, path, sys: HamiltonianSystem, y0) -> None:
@@ -298,10 +309,8 @@ def _write_plot(csv_path, gp_path, settings, series) -> None:
                 f'&& strcol(3) eq "{k}" && strcol(4) eq "{name}"')
         clauses.append(f"  '{csv_name}' every ::1 using (({cond}) ? $5 : 1/0):6 "
                        f"with linespoints title \"{title}\"")
-    lines = [f"# gnuplot script for {csv_name}", "set datafile separator comma", *settings,
-             "set key outside", "plot \\\n" + ", \\\n".join(clauses)]
-    with open(gp_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(gp_path, [f"# gnuplot script for {csv_name}", "set datafile separator comma",
+                           *settings, "set key outside", "plot \\\n" + ", \\\n".join(clauses)])
 
 
 def write_convergence_plot(csv_path, gp_path, results) -> None:

@@ -151,7 +151,9 @@ def _node_basis(n_stages: int, s: int) -> tuple[QuadratureRule, np.ndarray]:
 
 
 def build_tableau(spec: MethodSpec, alpha: float = 0.0) -> ButcherTableau:
-    """Construct the tableau a MethodSpec describes (alpha applies to equip only)."""
+    """Construct the tableau a MethodSpec describes; alpha, finite, applies to equip only."""
+    if not -np.inf < alpha < np.inf:  # NaN fails every comparison
+        raise ValueError(f"alpha must be finite, got alpha={alpha}")
     if spec.kind != "equip" and alpha != 0.0:
         raise ValueError(f"alpha has no effect on {spec}; only equip takes it")
     rule, W = _node_basis(spec.n_stages, spec.s)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geork
-from geork import cli
+from geork import cli, experiments
 from geork.cli import main, parse_method, parse_method_list
 from geork.tableau import KINDS, MethodSpec
 
@@ -275,7 +275,7 @@ def test_tableau_rejects_non_finite_alpha(alpha, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--alpha" in captured.err
+    assert f"alpha must be finite, got alpha={alpha}" in captured.err
 
 
 def test_tableau_alpha_reaches_equip(capsys):
@@ -298,18 +298,37 @@ def test_unwritable_output_diagnostic(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
-    def write_half(records, path, *args):
-        with open(path, "w") as fh:
-            fh.write("t,q1")
-        raise OSError("disk full")
+@pytest.mark.parametrize("subcommand, integrate", [
+    ("run", "integrate_fixed"), ("convergence", "convergence_study"), ("drift", "drift_study")])
+def test_missing_output_directory_is_reported_before_integrating(subcommand, integrate,
+                                                                  tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before checking --out")
 
-    monkeypatch.setattr(cli, "write_step_csv", write_half)
+    monkeypatch.setattr(cli, integrate, never)
+    out = tmp_path / "runs" / "x"
+    extra = ["--method", "gauss:s=3", "--h", "0.1", "--steps", "2"] if subcommand == "run" else []
+    rc = main([subcommand, *extra, "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"geork {subcommand}: error: output directory {str(out.parent)!r} does not exist" \
+        in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unopenable_output_keeps_the_existing_file(tmp_path, monkeypatch, capsys):
+    # a read-only file is writable for root, so the failing open is simulated
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(f"Permission denied: {str(path)!r}")
+
     out = tmp_path / "x.csv"
+    out.write_text("earlier results\n")
+    monkeypatch.setattr(experiments, "open", refuse, raising=False)
     rc = main(["run", "--method", "gauss:s=3", "--h", "0.1", "--steps", "2", "--out", str(out)])
     assert rc == 1
-    assert "disk full" in capsys.readouterr().err
-    assert not out.exists()
+    assert "Permission denied" in capsys.readouterr().err
+    assert out.read_text() == "earlier results\n"
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -451,6 +451,43 @@ def test_convergence_csv_numbers_round_trip(samples, tmp_path_factory):
     assert _bits(got) == _bits(samples)
 
 
+def test_a_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, cfg):
+    sys, state0 = kepler_system(0.6)
+    recs = integrate_fixed(GAUSS3, sys, state0.y, 0.1, 3, cfg)
+    per_row = 1 + len(state0.y) + 2 + len(sys.invariants)  # t, y, h, alpha, the errors
+    calls = []
+
+    def fmt_until_row_two(x):
+        calls.append(x)
+        if len(calls) > per_row:
+            raise OSError("disk full")
+        return format(float(x), ".17g")
+
+    path = tmp_path / "steps.csv"
+    monkeypatch.setattr(experiments, "_fmt", fmt_until_row_two)
+    with pytest.raises(OSError, match="disk full"):
+        write_step_csv(recs, path, sys, state0.y)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("write", ["csv", "plot"])
+def test_a_failed_open_leaves_an_existing_file_untouched(write, tmp_path, monkeypatch,
+                                                          small_study):
+    # the suite may run as root, for whom a read-only file is writable
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(f"Permission denied: {str(path)!r}")
+
+    path = tmp_path / "conv.out"
+    path.write_text("earlier results\n")
+    monkeypatch.setattr(experiments, "open", refuse, raising=False)
+    with pytest.raises(PermissionError):
+        if write == "csv":
+            write_convergence_csv(small_study, path)
+        else:
+            write_convergence_plot(tmp_path / "conv.csv", path, small_study)
+    assert path.read_text() == "earlier results\n"
+
+
 def test_plot_scripts_reference_csv(tmp_path, small_study, mild_drift_run):
     sys, state0, per = mild_drift_run
     reports = drift_reports(GAUSS3, per, sys, state0.y, tol=1e-8)

@@ -341,6 +341,14 @@ def test_build_tableau_rejects_alpha_without_effect(spec):
     assert np.copysign(1.0, build_tableau(spec, alpha=-0.0).alpha) == 1.0
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("s", [2, 3, 6])
+def test_build_tableau_rejects_a_non_finite_alpha(s, alpha):
+    # a NaN alpha used to give a NaN tableau with a NaN symplecticity residual
+    with pytest.raises(ValueError, match=f"^alpha must be finite, got alpha={alpha}$"):
+        build_equip_tableau(s, alpha)
+
+
 def test_format_tableau_shape():
     text = format_tableau(build_gauss(2))
     lines = text.splitlines()
