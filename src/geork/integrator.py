@@ -10,17 +10,17 @@ stage solve in a scalar secant iteration that tunes the tableau parameter
 alpha until the step conserves the energy.  Within one step each secant
 evaluation starts its stage iteration from the previous evaluation's
 converged stages, which differ from the new ones only by O(delta alpha); the
-first evaluation of a step starts from y.  When an evaluation's stage solve
-fails, the secant stalls (zero or non-finite denominator, non-finite alpha)
-or the evaluation budget runs out, the step falls back to two half-steps,
-and after five nested halvings to the plain Gauss step, flagged.  A
-non-finite step result raises Divergence out of the step, EQUIP or not; the
-fallback does not catch it.  The drivers give a failure its context.
+first evaluation of a step starts from y.  When the secant stalls (zero or
+non-finite denominator, non-finite alpha) or spends its budget, the step
+takes the evaluated alpha of least energy change, flagged.  A failed stage
+solve or a non-finite step result raises out of any step: only the drivers
+change h, and they give a failure its context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
 
 H_MIN = 1e-8
 _DIVERGENCE_LIMIT = 1e8
-_MAX_HALVINGS = 5
 _SECANT_PROBE = 1e-4
 
 
@@ -80,16 +79,18 @@ class SolverConfig:
             value = getattr(self, name)
             if not 0.0 < value < np.inf:  # NaN fails every comparison
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.max_stage_iters < 1 or self.max_alpha_iters < 1:
-            raise ValueError("iteration budgets must be >= 1")
+        for name in ("max_stage_iters", "max_alpha_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
     """One accepted step; alpha is 0 for non-EQUIP methods.
 
-    ``flagged`` marks EQUIP steps that fell back to alpha = 0 without
-    achieving energy conservation; ``err_est`` is set in adaptive mode only.
+    ``flagged`` marks EQUIP steps whose secant stopped short of energy
+    conservation; ``err_est`` is set in adaptive mode only.
     """
 
     state: State
@@ -99,16 +100,6 @@ class StepRecord:
     alpha_iters: int
     err_est: float | None = None
     flagged: bool = False
-
-
-def _combined(state: State, h: float, parts, err_est: float | None = None) -> StepRecord:
-    """One record for a step of size h made of parts; the last part ends it."""
-    return StepRecord(
-        state=state, h=h, alpha=parts[-1].alpha,
-        stage_iters=sum(r.stage_iters for r in parts),
-        alpha_iters=sum(r.alpha_iters for r in parts),
-        err_est=err_est, flagged=any(r.flagged for r in parts),
-    )
 
 
 def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
@@ -176,33 +167,30 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
 
 
 def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
-               cfg: SolverConfig, alpha_prev: float = 0.0, t: float = 0.0,
-               _depth: int = 0) -> StepRecord:
+               cfg: SolverConfig, alpha_prev: float = 0.0, t: float = 0.0) -> StepRecord:
     """EQUIP step: tune alpha so the step conserves H, then advance h.
 
-    The secant on H(y_next(alpha)) - H(y) starts from alpha_prev.  If it fails
-    the step is retried as two half-steps (up to 5 nested halvings); as a last
-    resort the plain Gauss step (alpha = 0) is taken and the record flagged,
-    so missing conservation is always reported.  H(y) is taken after the first
-    stage solve succeeds, which has evaluated the field at y, so a y outside
-    the field's domain fails as a Divergence before any energy evaluation.
+    The secant on g(alpha) = H(y_next(alpha)) - H(y) starts from alpha_prev.
+    If it stalls or spends its budget, the step at the evaluated alpha of
+    least |g| is returned, flagged, and still counts all the work spent.
+    H(y) is taken after the first stage solve succeeds, which has evaluated
+    the field at y, so a y outside the field's domain fails as a Divergence
+    before any energy evaluation.
     """
     alpha, stage_iters, Y = alpha_prev, 0, None
     for evals in range(1, cfg.max_alpha_iters + 1):
         tab = build_equip_tableau(s, alpha)
-        try:
-            Y, iters = solve_stages(tab, sys, y, h, cfg, Y)
-        except (NonConvergence, Divergence):
-            break
+        Y, iters = solve_stages(tab, sys, y, h, cfg, Y)
         stage_iters += iters
         if evals == 1:
             H0 = float(sys.energy(y))
             gtol = cfg.alpha_tol * (1.0 + abs(H0))
         y_next = _update(tab, sys, y, h, Y)
         g = float(sys.energy(y_next)) - H0
+        if evals == 1 or abs(g) < best_g:
+            best_g, best_alpha, best_y = abs(g), alpha, y_next
         if abs(g) <= gtol:
-            return StepRecord(state=State(t=t + h, y=y_next), h=h, alpha=alpha,
-                              stage_iters=stage_iters, alpha_iters=evals)
+            break
         if evals == 1:
             alpha_next = alpha + _SECANT_PROBE
         else:
@@ -213,19 +201,9 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
             if not np.isfinite(alpha_next):
                 break
         alpha_old, g_old, alpha = alpha, g, alpha_next
-    if _depth < _MAX_HALVINGS:
-        return _two_halves(
-            lambda y, h, t, a: equip_step(s, sys, y, h, cfg, a, t, _depth + 1),
-            y, h, t, alpha_prev)
-    rec = rk_step(build_equip_tableau(s, 0.0), sys, y, h, cfg, t=t)
-    return replace(rec, flagged=True)
-
-
-def _two_halves(step, y: np.ndarray, h: float, t: float, alpha_prev: float) -> StepRecord:
-    """Two steps of h/2 from (t, y), the second from the first's alpha; one record."""
-    r1 = step(y, 0.5 * h, t, alpha_prev)
-    r2 = step(r1.state.y, 0.5 * h, t + 0.5 * h, r1.alpha)
-    return _combined(State(t=t + h, y=r2.state.y), h, (r1, r2))
+    # NaN fails the comparison, so a NaN energy change is flagged too
+    return StepRecord(state=State(t=t + h, y=best_y), h=h, alpha=best_alpha,
+                      stage_iters=stage_iters, alpha_iters=evals, flagged=not best_g <= gtol)
 
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
@@ -275,9 +253,14 @@ def _attempt_step(step, p: int, y: np.ndarray, h: float, t: float,
     value preserves the method's conservation character.
     """
     full = step(y, h, t, alpha_prev)
-    halves = _two_halves(step, y, h, t, alpha_prev)
-    err = float(abs(full.state.y - halves.state.y).max()) / (2.0 ** p - 1.0)
-    return _combined(halves.state, h, (full, halves), err)
+    half = step(y, 0.5 * h, t, alpha_prev)
+    last = step(half.state.y, 0.5 * h, t + 0.5 * h, half.alpha)
+    return StepRecord(
+        state=State(t=t + h, y=last.state.y), h=h, alpha=last.alpha,
+        stage_iters=full.stage_iters + half.stage_iters + last.stage_iters,
+        alpha_iters=full.alpha_iters + half.alpha_iters + last.alpha_iters,
+        err_est=float(abs(full.state.y - last.state.y).max()) / (2.0 ** p - 1.0),
+        flagged=full.flagged or half.flagged or last.flagged)
 
 
 def propose_factor(err_est: float, tol: float, p: int) -> float:

@@ -213,8 +213,15 @@ def test_solver_config_validation():
         for value in (0.0, -1e-13, np.nan, np.inf):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: value})
-    with pytest.raises(ValueError):
-        SolverConfig(max_alpha_iters=0)
+
+
+@pytest.mark.parametrize("value", [0, 2.5, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["max_stage_iters", "max_alpha_iters"])
+def test_solver_config_rejects_budgets_that_are_not_positive_integers(name, value):
+    # a float budget used to construct and then fail the first step with a
+    # TypeError from range
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+        SolverConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +304,45 @@ def test_equip_period_conserves_angular_momentum(cfg):
     assert not any(r.flagged for r in recs)
 
 
-def test_equip_flagged_fallback():
-    # an unreachable alpha tolerance with a one-evaluation budget fails the
-    # root solve at every halving depth; the step must still complete, flagged,
-    # as 32 plain alpha = 0 substeps (quadratic energies are excluded here
-    # because they can satisfy even an absurd tolerance exactly)
+def test_equip_flagged_fallback(monkeypatch):
+    # an unreachable alpha tolerance fails the secant on its budget; the step
+    # is the evaluated alpha of least energy change, flagged, and reports all
+    # the work it spent (quadratic energies are excluded here because they
+    # can satisfy even an absurd tolerance exactly)
+    solves = []
+    solve = integrator.solve_stages
+
+    def counted(*args):
+        Y, iters = solve(*args)
+        solves.append(iters)
+        return Y, iters
+
+    monkeypatch.setattr(integrator, "solve_stages", counted)
     sys, state0 = kepler_system(0.6)
-    starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=1)
-    h = 2.0
-    rec = equip_step(3, sys, state0.y, h, starved)
+    starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=3)
+    y, h = state0.y, T / 100
+    rec = equip_step(3, sys, y, h, starved)
     assert rec.flagged
-    assert rec.alpha == 0.0
-    assert rec.state.t == pytest.approx(h)
-    plain = integrate_fixed(GAUSS3, sys, state0.y, h / 32, 32, SolverConfig(alpha_tol=1e-30))
-    np.testing.assert_allclose(rec.state.y, plain[-1].state.y, atol=1e-12)
+    assert rec.state.t == h
+    assert (rec.alpha_iters, rec.stage_iters) == (3, sum(solves))
+    same = rk_step(build_equip_tableau(3, rec.alpha), sys, y, h, starved)
+    bound = starved.stage_tol * (1 + np.max(np.abs(y)))
+    assert np.max(np.abs(rec.state.y - same.state.y)) <= bound
+    start = rk_step(build_equip_tableau(3, 0.0), sys, y, h, starved)
+    H0 = float(sys.energy(y))
+    assert (abs(float(sys.energy(rec.state.y)) - H0)
+            <= abs(float(sys.energy(start.state.y)) - H0))
+
+
+def test_equip_periapsis_steps_complete(cfg):
+    # from Kepler e = 0.99 periapsis at h = 1e-3 the secant stalls just above
+    # its tolerance; the step must still complete, as the benchmark's warm-up
+    # and `geork run --e 0.99 --h 0.001` take it
+    sys, state0 = kepler_system(0.99)
+    recs = integrate_fixed(EQUIP3, sys, state0.y, 1e-3, 2, cfg)
+    assert [r.state.t for r in recs] == pytest.approx([1e-3, 2e-3])
+    H0 = float(sys.energy(state0.y))
+    assert all(abs(float(sys.energy(r.state.y)) - H0) <= 1e-11 for r in recs)
 
 
 def test_domain_error_is_a_divergence_the_controller_retries(harmonic, cfg, first_h):
@@ -335,8 +367,8 @@ def test_domain_error_is_a_divergence_the_controller_retries(harmonic, cfg, firs
 
 def test_equip_secant_with_a_flat_energy_falls_back_flagged(cfg):
     # no force and p = 1, so y_next = y + h (1, 0) for every alpha and
-    # g = H(y_next) - H(y) = h never moves: the secant denominator is zero at
-    # every halving depth
+    # g = H(y_next) - H(y) = h never moves: the secant denominator is zero on
+    # the second evaluation, and the step stalls there
     def energy(y):
         return np.asarray(y, dtype=float)[..., 0]
 
@@ -344,23 +376,23 @@ def test_equip_secant_with_a_flat_energy_falls_back_flagged(cfg):
                              force=lambda q: np.zeros(np.shape(q)), invariants={"H": energy})
     rec = equip_step(3, flat, np.array([0.0, 1.0]), 0.1, cfg)
     assert rec.flagged
+    assert (rec.alpha, rec.alpha_iters) == (0.0, 2)  # a tie keeps the first alpha
     assert rec.state.t == pytest.approx(0.1)
     np.testing.assert_allclose(rec.state.y, [0.1, 1.0], atol=1e-15)
 
 
-def test_equip_failed_stage_solve_halves_but_non_finite_update_escapes(cfg):
-    # field call 1 is the first secant evaluation's stage solve: it diverges,
-    # so the step is retried as two half-steps of one evaluation each
+def test_equip_failed_stage_solve_or_non_finite_update_raises(cfg):
+    # field call 1 is the first secant evaluation's stage solve, field call 2
+    # its update; either failure leaves the step, as it leaves rk_step, and
+    # only the drivers change h
     y0 = np.array([1.0, 0.0])
-    with np.errstate(invalid="ignore"):
-        rec = equip_step(3, trapped_system({1}), y0, 0.1, cfg)
-    assert rec.state.t == pytest.approx(0.1)
-    assert (rec.alpha_iters, rec.stage_iters, rec.flagged) == (2, 2, False)
-    np.testing.assert_array_equal(rec.state.y, y0)
-    # field call 3 is the first half-step's update; a non-finite step result
-    # is not a failed secant evaluation and leaves the step
+    with np.errstate(invalid="ignore"), pytest.raises(Divergence, match="stage iterates"):
+        equip_step(3, trapped_system({1}), y0, 0.1, cfg)
     with np.errstate(invalid="ignore"), pytest.raises(Divergence, match="non-finite"):
-        equip_step(3, trapped_system({1, 3}), y0, 0.1, cfg)
+        equip_step(3, trapped_system({2}), y0, 0.1, cfg)
+    sys, state0 = kepler_system(0.6)
+    with pytest.raises(NonConvergence):
+        equip_step(3, sys, state0.y, T / 100, SolverConfig(max_stage_iters=2))
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +421,9 @@ def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg)
 
 
 def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cfg):
-    # the benchmark's tracer counts alpha evaluations by wrapping
-    # integrator.build_equip_tableau and halvings by wrapping
-    # integrator.equip_step, whose nested calls are the half-steps; a half-step
-    # that called equip_step through a name bound at import would hide them
+    # the benchmark's tracer counts EQUIP steps by wrapping
+    # integrator.equip_step and alpha evaluations by wrapping
+    # integrator.build_equip_tableau; a name bound at import would hide them
     calls = {"equip_step": 0, "build_equip_tableau": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(integrator, name), **kwargs):
@@ -403,13 +434,12 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
     rec = integrator.equip_step(3, sys, state0.y, T / 100, cfg)
     assert not rec.flagged and rec.alpha_iters == 4
     assert calls == {"equip_step": 1, "build_equip_tableau": 4}
-    # a starved step halves down to depth 5; each flagged leaf builds its
-    # alpha = 0 tableau once more
+    # a starved step is still one call, with one build per evaluation
     calls.update(equip_step=0, build_equip_tableau=0)
-    starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=1)
+    starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=3)
     rec = integrator.equip_step(3, sys, state0.y, T / 100, starved)
     assert rec.flagged
-    assert calls == {"equip_step": 55, "build_equip_tableau": 55 + 16}
+    assert calls == {"equip_step": 1, "build_equip_tableau": 3}
 
 
 def test_single_step_matches_driver(cfg):
@@ -602,6 +632,22 @@ def test_adaptive_determinism(cfg):
     for ra, rb in zip(a, b):
         np.testing.assert_array_equal(ra.state.y, rb.state.y)
         assert ra.h == rb.h and ra.err_est == rb.err_est
+
+
+def test_equip_full_step_never_hides_its_error_from_the_controller(cfg):
+    # a full EQUIP step whose secant failed used to retry itself as the
+    # attempt's own two halves, so err_est was 0.0 and h grew fivefold, to
+    # more than two periods per step here, and the run ended 1.19 off
+    sys, state0 = kepler_system(0.6)
+    (recs,) = integrate_adaptive(EQUIP3, sys, state0.y, [10 * T], 1e-8, cfg)
+    assert all(r.err_est > 0.0 for r in recs)
+    assert np.max(np.abs(recs[-1].state.y - kepler_reference(0.6, 10 * T))) <= 1e-5
+
+
+def test_drift_campaign_has_no_zero_error_estimate(drift_campaign):
+    _, _, data = drift_campaign
+    for method, (per, _) in data.items():
+        assert all(r.err_est > 0.0 for recs in per for r in recs), method
 
 
 def test_adaptive_validates_inputs(harmonic, cfg):

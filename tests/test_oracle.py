@@ -18,9 +18,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from geork.dynamics import kepler_system
-from geork.integrator import (
-    _MAX_HALVINGS, SolverConfig, _attempt_step, _stepper, equip_step, rk_step,
-)
+from geork.integrator import SolverConfig, _attempt_step, _stepper, equip_step, rk_step
 from geork.tableau import MethodSpec, build_tableau
 from test_quadrature import classical_legendre, mp_gauss_rule
 
@@ -116,15 +114,6 @@ def mp_step(spec: MethodSpec, y, h, alpha=0.0):
                 + [p[d] + h * mpmath.fsum(b[i] * F[i][d] for i in range(n)) for d in range(2)])
 
 
-def single_equip_step(y, h, t=0.0, alpha_prev=0.0):
-    """An EQUIP(3) step at the halving limit: one step of the tableau at rec.alpha.
-
-    A failed secant then takes the flagged Gauss step (alpha = 0) instead of
-    two half-steps, which no single reference step could match.
-    """
-    return equip_step(3, KEPLER, y, h, CFG, alpha_prev, t, _depth=_MAX_HALVINGS)
-
-
 def distance(y_float, y_mp) -> float:
     return max(float(abs(mpmath.mpf(u) - v)) for u, v in zip(y_float, y_mp))
 
@@ -175,7 +164,7 @@ def test_rk_step_matches_the_40_digit_step(y, h, spec):
 @given(y=kepler_states, h=steps)
 @example(y=SECANT_FAILS, h=0.125)
 def test_equip_step_matches_the_40_digit_step_at_its_alpha(y, h):
-    rec = single_equip_step(y, h)
+    rec = equip_step(3, KEPLER, y, h, CFG)
     y_next = mp_step(EQUIP3, y, h, rec.alpha)
     assert distance(rec.state.y, y_next) <= bound(y)
     if not rec.flagged:
@@ -193,7 +182,7 @@ def test_equip_step_matches_the_40_digit_step_at_its_alpha(y, h):
 @example(y=SECANT_FAILS, h=0.25, spec=EQUIP3)
 def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
     # the full step and both half-steps, each EQUIP one at the alpha it chose
-    step = single_equip_step if spec.kind == "equip" else _stepper(spec, KEPLER, CFG)
+    step = _stepper(spec, KEPLER, CFG)
     alphas = []
 
     def recording(*args):
