@@ -81,9 +81,10 @@ def _kepler_energy(y: np.ndarray) -> np.ndarray:
 
 def _kepler_force(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    r2 = q[..., 0] ** 2 + q[..., 1] ** 2
+    q2 = q * q
+    r2 = q2[..., 0] + q2[..., 1]
     # NaN fails the comparison, so a NaN position is rejected as well
-    if not (r2.min() >= _MIN_RADIUS**2):
+    if not (np.minimum.reduce(r2, axis=None) >= _MIN_RADIUS**2):
         raise DomainError(f"kepler force evaluated at radius < {_MIN_RADIUS} or at NaN")
     # np.power: for one state r2 is a NumPy scalar, whose ** may round unlike a stack's
     return q * (-np.power(r2, -1.5))[..., None]

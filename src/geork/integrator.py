@@ -7,14 +7,15 @@ sweep is partitioned: P = p + hA F(Q) from the old positions, then
 Q = q + hA P from the new momenta, with one field call; on a linear problem
 that squares the plain sweep's contraction factor.  EQUIP steps wrap the
 stage solve in a scalar secant iteration that tunes the tableau parameter
-alpha until the step conserves the energy.  Within one step each secant
-evaluation starts its stage iteration from the previous evaluation's
-converged stages, which differ from the new ones only by O(delta alpha); the
-first evaluation of a step starts from y.  When the secant stalls (zero or
-non-finite denominator, non-finite alpha) or spends its budget, the step
-takes the evaluated alpha of least energy change, flagged.  A failed stage
-solve or a non-finite step result raises out of any step: only the drivers
-change h, and they give a failure its context.
+alpha until the step conserves the energy; each evaluation after a step's
+first starts from the previous one's stages, O(delta alpha) away.  When the
+secant stalls (zero or non-finite denominator, non-finite alpha) or spends
+its budget, the step takes the evaluated alpha of least energy change,
+flagged.  A Gauss or HBVM step-doubling attempt solves the full step and the
+first half-step, both from y, as one stacked stage system, and starts the
+second half-step from the full step's stage polynomial; EQUIP's three steps
+tune different alphas, so they stay sequential.  A failed stage solve or a
+non-finite result raises out of any step; only the drivers change h, with context.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
         raise Divergence(f"vector field domain error: {exc}") from exc
 
 
-def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
+def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
                  h: float, cfg: SolverConfig, Y0: np.ndarray | None = None):
-    """Solve the implicit stage system by partitioned fixed-point iteration.
+    """Solve the stage system Y = y + hA f(Y) by partitioned fixed-point iteration.
 
     Returns (stages, iterations).  Stages come back as an (n_stages, dim)
     array (Q, P) with Q = q + hA P to round-off; the last sweep changed no
@@ -126,8 +127,8 @@ def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
     if not np.isfinite(h):
         raise ValueError("stepsize must be finite")
     tol = cfg.stage_tol * (1.0 + abs(y).max())
-    hA = h * tab.A
-    n, m = len(tab.b), sys.half_dim
+    hA = h * A
+    n, m = len(A), sys.half_dim
     # Q = q + hA P = q + hA p + (hA)^2 F(Q): base holds the force-free terms and
     # rows 2i, 2i + 1 of M stage i's Q and P force terms, so one product gives both
     M = np.concatenate([hA @ hA, hA], axis=1).reshape(2 * n, n)
@@ -148,10 +149,10 @@ def solve_stages(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
     )
 
 
-def _update(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
+def _update(b: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
             h: float, Y: np.ndarray) -> np.ndarray:
-    """y_next = y + h sum_i b_i f(Y_i); a non-finite result is a Divergence."""
-    y_next = y + h * (tab.b @ canonical_field(sys, Y))
+    """y + h sum_i b_i f(Y_i), or k of them for a (k, 1, n) b; non-finite is a Divergence."""
+    y_next = y + h * (b @ canonical_field(sys, Y).reshape(*b.shape[:-2], b.shape[-1], -1))
     if not np.isfinite(y_next).all():
         raise Divergence(f"non-finite step result at h={h}")
     return y_next
@@ -160,8 +161,8 @@ def _update(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, cfg: SolverConfig, t: float = 0.0) -> StepRecord:
     """One step of the tableau's method from (t, y) to (t + h, y_next)."""
-    Y, iters = solve_stages(tab, sys, y, h, cfg)
-    y_next = _update(tab, sys, y, h, Y)
+    Y, iters = solve_stages(tab.A, sys, y, h, cfg)
+    y_next = _update(tab.b, sys, y, h, Y)
     return StepRecord(state=State(t=t + h, y=y_next), h=h, alpha=tab.alpha,
                       stage_iters=iters, alpha_iters=0)
 
@@ -180,12 +181,12 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
     alpha, stage_iters, Y = alpha_prev, 0, None
     for evals in range(1, cfg.max_alpha_iters + 1):
         tab = build_equip_tableau(s, alpha)
-        Y, iters = solve_stages(tab, sys, y, h, cfg, Y)
+        Y, iters = solve_stages(tab.A, sys, y, h, cfg, Y)
         stage_iters += iters
         if evals == 1:
             H0 = float(sys.energy(y))
             gtol = cfg.alpha_tol * (1.0 + abs(H0))
-        y_next = _update(tab, sys, y, h, Y)
+        y_next = _update(tab.b, sys, y, h, Y)
         g = float(sys.energy(y_next)) - H0
         if evals == 1 or abs(g) < best_g:
             best_g, best_alpha, best_y = abs(g), alpha, y_next
@@ -207,14 +208,17 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
 
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
-    """step(y, h, t, alpha_prev) -> StepRecord for method; the one place its kind is read.
+    """step and attempt(y, h, t, alpha_prev) -> StepRecord; the one place method.kind is read.
 
-    Gauss and HBVM build their tableau once here; EQUIP builds one per alpha.
+    An attempt is one step-doubling attempt, with err_est.  Gauss and HBVM
+    build their tableau once here; EQUIP builds one per alpha.
     """
     if method.kind == "equip":
-        return lambda y, h, t, alpha_prev: equip_step(method.s, sys, y, h, cfg, alpha_prev, t)
+        step = lambda y, h, t, alpha_prev: equip_step(method.s, sys, y, h, cfg, alpha_prev, t)
+        return step, lambda *args: _attempt_step(step, method.order, *args)
     tab = build_tableau(method)
-    return lambda y, h, t, alpha_prev: rk_step(tab, sys, y, h, cfg, t)
+    return (lambda y, h, t, alpha_prev: rk_step(tab, sys, y, h, cfg, t),
+            _stacked_attempt(tab, sys, cfg))
 
 
 def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
@@ -231,7 +235,7 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
     if n_steps < 1 or not 0.0 < h < np.inf:  # NaN fails every comparison
         raise ValueError("n_steps must be >= 1 and h positive and finite, "
                          f"got n_steps={n_steps}, h={h}")
-    step = _stepper(method, sys, cfg)
+    step, _ = _stepper(method, sys, cfg)
     y = _start_state(sys, y0)
     alpha_prev = 0.0
     records = []
@@ -261,6 +265,30 @@ def _attempt_step(step, p: int, y: np.ndarray, h: float, t: float,
         alpha_iters=full.alpha_iters + half.alpha_iters + last.alpha_iters,
         err_est=float(abs(full.state.y - last.state.y).max()) / (2.0 ** p - 1.0),
         flagged=full.flagged or half.flagged or last.flagged)
+
+
+def _stacked_attempt(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
+    """_attempt_step's attempt(y, h, t, alpha_prev) for a fixed tableau, in two stage solves.
+
+    One solve of the 2n-stage system diag(A, A/2) at h gives the full step and
+    the first half-step.  The second half-step starts from the full step's stage
+    polynomial u at tau = (1 + c) / 2: u(tau) - y = tau w(tau), where w of
+    degree n - 1 is (Y_i - y) / c_i at the nodes.
+    """
+    A, b, c, n, p = tab.A, tab.b, tab.c, tab.n_stages, tab.order
+    A2, b2 = np.kron(np.diag([1.0, 0.5]), A), np.stack([b, 0.5 * b])[:, None]
+    tau, off = 0.5 + 0.5 * c, ~np.eye(n, dtype=bool)  # Lagrange basis on c, at tau
+    warm = tau[:, None] / c * (np.where(off, tau[:, None, None] - c, 1.0).prod(axis=2)
+                               / np.where(off, c[:, None] - c, 1.0).prod(axis=1))
+
+    def attempt(y, h, t, alpha_prev):
+        Y, iters = solve_stages(A2, sys, y, h, cfg)
+        (full,), (half,) = _update(b2, sys, y, h, Y)
+        Z, more = solve_stages(A, sys, half, 0.5 * h, cfg, y + warm @ (Y[:n] - y))
+        last = _update(b, sys, half, 0.5 * h, Z)
+        return StepRecord(state=State(t=t + h, y=last), h=h, alpha=0.0, stage_iters=iters + more,
+                          alpha_iters=0, err_est=float(abs(full - last).max()) / (2.0 ** p - 1.0))
+    return attempt
 
 
 def propose_factor(err_est: float, tol: float, p: int) -> float:
@@ -296,7 +324,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     # NaN fails every comparison, and a finite last stop bounds the others
     if not (stops and all(a < b for a, b in zip([0.0, *stops], stops)) and stops[-1] < np.inf):
         raise ValueError(f"t_stops must be finite and increase from above 0, got {t_stops}")
-    step = _stepper(method, sys, cfg)
+    _, attempt = _stepper(method, sys, cfg)
     y = _start_state(sys, y0)
     t, alpha_prev, stop = 0.0, 0.0, stops[0]
     runs: list[list[StepRecord]] = []
@@ -309,7 +337,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
                 if lands_on_stop:
                     h = stop - t
                 try:
-                    info = _attempt_step(step, method.order, y, h, t, alpha_prev)
+                    info = attempt(y, h, t, alpha_prev)
                 except (NonConvergence, Divergence):
                     info = None
                 if info is not None and info.err_est <= tol:

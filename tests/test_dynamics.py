@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geork.dynamics import (
     DomainError,
@@ -160,6 +161,19 @@ def test_kepler_gradient_guards_collision():
             for stack in ([healthy, bad], [bad, healthy], [healthy, bad, healthy]):
                 with pytest.raises(DomainError):
                     evaluate(np.array(stack))
+
+
+@given(q=hnp.arrays(float, st.tuples(st.integers(1, 24), st.just(2)),
+                   elements=st.floats(-3.0, 3.0))
+       .filter(lambda q: (np.hypot(q[:, 0], q[:, 1]) >= 1e-3).all()))
+def test_kepler_force_of_a_stack_is_each_row_force_bit_for_bit(q):
+    # a stage solve evaluates the force on a stack of rows and the update on
+    # a stack too; neither may round differently from one state at a time
+    sys, _ = kepler_system(0.6)
+    stacked = sys.force(q)
+    for row, force in zip(q, stacked):
+        np.testing.assert_array_equal(sys.force(row), force)
+    np.testing.assert_array_equal(sys.force(q.reshape(-1, 1, 2)), stacked[:, None])
 
 
 def test_reference_recovers_initial_state():

@@ -17,7 +17,6 @@ from geork.integrator import (
     MinStepReached,
     NonConvergence,
     SolverConfig,
-    _attempt_step,
     _stepper,
     canonical_field,
     equip_step,
@@ -28,11 +27,13 @@ from geork.integrator import (
     rk_step,
     solve_stages,
 )
-from geork.tableau import MethodSpec, build_equip_tableau, build_gauss, build_hbvm
+from geork.tableau import MethodSpec, build_equip_tableau, build_gauss, build_hbvm, build_tableau
 
 T = 2 * np.pi
 
 GAUSS3 = MethodSpec("gauss", 3)
+HBVM63 = MethodSpec("hbvm", 3, 6)
+HBVM123 = MethodSpec("hbvm", 3, 12)
 EQUIP3 = MethodSpec("equip", 3)
 
 
@@ -79,7 +80,8 @@ def first_h(monkeypatch):
 
 def step_doubling_error(method, sys, y, h, cfg):
     """The controller's error estimate for one attempt of size h from y."""
-    return _attempt_step(_stepper(method, sys, cfg), method.order, y, h, 0.0, 0.0).err_est
+    _, attempt = _stepper(method, sys, cfg)
+    return attempt(y, h, 0.0, 0.0).err_est
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def step_doubling_error(method, sys, y, h, cfg):
 def test_midpoint_linear_stage_solve(harmonic, cfg):
     sys, state0 = harmonic
     tab = build_gauss(1)
-    Y, iters = solve_stages(tab, sys, state0.y, 0.5, cfg)
+    Y, iters = solve_stages(tab.A, sys, state0.y, 0.5, cfg)
     assert stage_residual(tab, sys, state0.y, 0.5, Y) <= 1e-13
     # fixed point of the affine map: Y = y + (h/2) J Y
     h = 0.5
@@ -99,7 +101,7 @@ def test_midpoint_linear_stage_solve(harmonic, cfg):
 
 def test_zero_step_returns_start(harmonic, cfg):
     sys, state0 = harmonic
-    Y, iters = solve_stages(build_gauss(1), sys, state0.y, 0.0, cfg)
+    Y, iters = solve_stages(build_gauss(1).A, sys, state0.y, 0.0, cfg)
     np.testing.assert_array_equal(Y, np.tile(state0.y, (1, 1)))
     assert iters <= 1
 
@@ -107,7 +109,7 @@ def test_zero_step_returns_start(harmonic, cfg):
 def test_kepler_stage_iterations_budget(cfg):
     # regression: fixed point converges comfortably at the benchmark stepsize
     sys, state0 = kepler_system(0.6)
-    Y, iters = solve_stages(build_gauss(3), sys, state0.y, T / 200, cfg)
+    Y, iters = solve_stages(build_gauss(3).A, sys, state0.y, T / 200, cfg)
     assert iters <= 30
     assert stage_residual(build_gauss(3), sys, state0.y, T / 200, Y) <= 1e-13 * 3
 
@@ -121,7 +123,7 @@ def test_stage_residual_contract(tab_builder, h, cfg):
     sys, state0 = kepler_system(0.6)
     tab = tab_builder()
     y = kepler_reference(0.6, 2.0)
-    Y, _ = solve_stages(tab, sys, y, h, cfg)
+    Y, _ = solve_stages(tab.A, sys, y, h, cfg)
     limit = 2 * cfg.stage_tol * (1 + np.max(np.abs(y)))
     assert stage_residual(tab, sys, y, h, Y) <= limit
 
@@ -132,10 +134,10 @@ def test_warm_start_meets_residual_contract(alpha, cfg):
     sys, state0 = kepler_system(0.6)
     y, h = state0.y, T / 50
     tol = cfg.stage_tol * (1 + np.max(np.abs(y)))
-    Y0, _ = solve_stages(build_equip_tableau(3, 0.0), sys, y, h, cfg)
+    Y0, _ = solve_stages(build_equip_tableau(3, 0.0).A, sys, y, h, cfg)
     tab = build_equip_tableau(3, alpha)
-    cold, cold_iters = solve_stages(tab, sys, y, h, cfg)
-    warm, warm_iters = solve_stages(tab, sys, y, h, cfg, Y0)
+    cold, cold_iters = solve_stages(tab.A, sys, y, h, cfg)
+    warm, warm_iters = solve_stages(tab.A, sys, y, h, cfg, Y0)
     assert stage_residual(tab, sys, y, h, warm) <= tol
     assert np.max(np.abs(warm - cold)) <= tol
     assert warm_iters < cold_iters
@@ -159,7 +161,7 @@ def test_partitioned_sweep_iteration_count(tab_builder, budget, harmonic, cfg):
     # updating Q from the new P squares the contraction factor on this linear
     # problem: a sweep that took Q from the old P needs 15, 15 and 16 here
     sys, state0 = harmonic
-    _, iters = solve_stages(tab_builder(), sys, state0.y, 0.5, cfg)
+    _, iters = solve_stages(tab_builder().A, sys, state0.y, 0.5, cfg)
     assert iters <= budget
 
 
@@ -177,7 +179,7 @@ def test_stages_solve_the_partitioned_equations(r, theta, p, h, tab, alpha):
     y = np.array([r * np.cos(theta), r * np.sin(theta), *p])
     tab = {"gauss": build_gauss(3), "hbvm": build_hbvm(12, 3),
            "equip": build_equip_tableau(3, alpha)}[tab]
-    Y, _ = solve_stages(tab, sys, y, h, cfg)
+    Y, _ = solve_stages(tab.A, sys, y, h, cfg)
     Q, P, hA = Y[:, :2], Y[:, 2:], h * tab.A
     scale = 1.0 + np.max(np.abs(y))
     assert np.max(np.abs(Q - (y[:2] + hA @ P))) <= 8 * np.finfo(float).eps * scale
@@ -188,7 +190,7 @@ def test_nonconvergence_signalled(cfg):
     sys, state0 = kepler_system(0.6)
     starved = SolverConfig(max_stage_iters=2)
     with pytest.raises(NonConvergence):
-        solve_stages(build_gauss(3), sys, state0.y, T / 100, starved)
+        solve_stages(build_gauss(3).A, sys, state0.y, T / 100, starved)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan, 1e12])
@@ -196,7 +198,7 @@ def test_stage_solve_divergence_on_blown_up_iterate(value, cfg):
     # field call 1 is the stage solve's first iteration; its residual is
     # inf, NaN (inf - inf in the matmul) or far beyond the divergence limit
     with np.errstate(invalid="ignore"), pytest.raises(Divergence, match="diverged"):
-        solve_stages(build_gauss(2), trapped_system({1}, value), np.array([1.0, 0.0]),
+        solve_stages(build_gauss(2).A, trapped_system({1}, value), np.array([1.0, 0.0]),
                      0.1, cfg)
 
 
@@ -418,6 +420,15 @@ def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg)
     rec = equip_step(3, sys, state0.y, T / 100, cfg)
     assert rec.alpha_iters > 1 and not rec.flagged
     assert len(calls) == rec.stage_iters + rec.alpha_iters
+    # a Gauss attempt: each sweep of the stacked solve and its update see the
+    # full step's and the first half-step's 2n = 6 stages at once, then the
+    # second half-step's solve and update see 3; stage_iters counts both solves
+    calls.clear()
+    _, attempt = _stepper(GAUSS3, sys, cfg)
+    rec = attempt(state0.y, T / 100, 0.0, 0.0)
+    stacked = calls.count((6, 4))
+    assert stacked >= 2
+    assert calls == [(6, 4)] * stacked + [(3, 4)] * (rec.stage_iters + 2 - stacked)
 
 
 def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cfg):
@@ -569,6 +580,55 @@ def test_step_doubling_error_order_follows_method(cfg):
     assert abs(slope - 5) <= 0.7  # p + 1 with p = 4
 
 
+@settings(deadline=None, max_examples=60)
+@given(r=st.floats(0.5, 2.0), theta=st.floats(0.0, T),
+       p=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       h=st.floats(-0.1, 0.1), method=st.sampled_from([GAUSS3, HBVM63, HBVM123]))
+def test_stacked_attempt_is_the_full_step_and_two_half_steps(r, theta, p, h, method):
+    # one stacked solve for the full step and the first half-step, and a warm
+    # second half-step, give the three rk_steps' result to the stage tolerance
+    cfg = SolverConfig()
+    sys, _ = kepler_system(0.6)
+    y = np.array([r * np.cos(theta), r * np.sin(theta), *p])
+    tab = build_tableau(method)
+    full = rk_step(tab, sys, y, h, cfg)
+    half = rk_step(tab, sys, y, h / 2, cfg)
+    last = rk_step(tab, sys, half.state.y, h / 2, cfg, h / 2)
+    _, attempt = _stepper(method, sys, cfg)
+    rec = attempt(y, h, 0.0, 0.0)
+    bound = 2 * cfg.stage_tol * (1 + np.max(np.abs(y)))
+    assert (rec.state.t, rec.h, rec.alpha, rec.alpha_iters) == (h, h, 0.0, 0)
+    assert np.max(np.abs(rec.state.y - last.state.y)) <= bound
+    err = np.max(np.abs(full.state.y - last.state.y)) / (2.0 ** method.order - 1.0)
+    assert abs(rec.err_est - err) <= bound / (2.0 ** method.order - 1.0)
+
+
+def test_warm_second_half_step_saves_stage_iterations(monkeypatch, cfg):
+    # regression guard: each attempt is one stacked solve from y and a second
+    # half-step started from the full step's stage polynomial, which takes 166
+    # iterations where starts from y would take 208 (Gauss(3)), and 172 where
+    # they would take 215 (HBVM(12,3)), over 32 attempts each
+    starts, warm, cold = [], [], []
+    solve = integrator.solve_stages
+
+    def counted(A, sys, y, h, cfg, Y0=None):
+        Y, iters = solve(A, sys, y, h, cfg, Y0)
+        starts.append(Y0 is not None)
+        if Y0 is not None:
+            warm.append(iters)
+            cold.append(solve(A, sys, y, h, cfg)[1])
+        return Y, iters
+
+    monkeypatch.setattr(integrator, "solve_stages", counted)
+    sys, state0 = kepler_system(0.6)
+    for method in (GAUSS3, HBVM123):
+        for counts in (starts, warm, cold):
+            counts.clear()
+        integrate_adaptive(method, sys, state0.y, [T], 1e-8, cfg)
+        assert starts == [False, True] * len(warm)
+        assert sum(warm) <= 0.85 * sum(cold)
+
+
 def test_propose_factor_formula():
     assert propose_factor(1e-8, 1e-8, 6) == pytest.approx(0.9)
     assert propose_factor(0.0, 1e-8, 6) == 5.0
@@ -648,6 +708,22 @@ def test_drift_campaign_has_no_zero_error_estimate(drift_campaign):
     _, _, data = drift_campaign
     for method, (per, _) in data.items():
         assert all(r.err_est > 0.0 for recs in per for r in recs), method
+
+
+def test_drift_campaign_stacked_attempts_keep_every_step_for_fewer_sweeps(drift_campaign):
+    # accepted steps and summed stage iterations per method; three separate
+    # solves per Gauss or HBVM attempt took 25,204 and 20,857 iterations for
+    # the same steps, and EQUIP's three sequential steps are what they were
+    _, _, data = drift_campaign
+
+    def totals(method):
+        recs = [r for recs in data[method][0] for r in recs]
+        return len(recs), sum(r.stage_iters for r in recs), sum(r.alpha_iters for r in recs)
+
+    gauss, hbvm = totals("gauss:s=3"), totals("hbvm:k=12,s=3")
+    assert gauss[0] == 1380 and gauss[1] <= 17_600
+    assert hbvm[0] == 1080 and hbvm[1] <= 14_600
+    assert totals("equip:s=3") == (1323, 77_816, 16_556)
 
 
 def test_adaptive_validates_inputs(harmonic, cfg):
