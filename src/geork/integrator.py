@@ -12,10 +12,10 @@ first starts from the previous one's stages, O(delta alpha) away.  When the
 secant stalls (zero or non-finite denominator, non-finite alpha) or spends
 its budget, the step takes the evaluated alpha of least energy change,
 flagged.  A Gauss or HBVM step-doubling attempt solves the full step and the
-first half-step, both from y, as one stacked stage system, and starts the
-second half-step from the full step's stage polynomial; EQUIP's three steps
-tune different alphas, so they stay sequential.  A failed stage solve or a
-non-finite result raises out of any step; only the drivers change h, with context.
+two half-steps as one stacked stage system, the halves as their composed
+2n-stage tableau; EQUIP's three steps tune different alphas, so they stay
+sequential.  A failed stage solve or a non-finite result raises out of any
+step; only the drivers change h, with context.
 """
 
 from __future__ import annotations
@@ -149,20 +149,19 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
     )
 
 
-def _update(b: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
-            h: float, Y: np.ndarray) -> np.ndarray:
-    """y + h sum_i b_i f(Y_i), or k of them for a (k, 1, n) b; non-finite is a Divergence."""
-    y_next = y + h * (b @ canonical_field(sys, Y).reshape(*b.shape[:-2], b.shape[-1], -1))
-    if not np.isfinite(y_next).all():
+def _increment(b: np.ndarray, sys: HamiltonianSystem, h: float, Y: np.ndarray) -> np.ndarray:
+    """h sum_i b_i f(Y_i), or k of them for a (k, 1, n) b; non-finite is a Divergence."""
+    dy = h * (b @ canonical_field(sys, Y).reshape(*b.shape[:-2], b.shape[-1], -1))
+    if not np.isfinite(dy).all():
         raise Divergence(f"non-finite step result at h={h}")
-    return y_next
+    return dy
 
 
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, cfg: SolverConfig, t: float = 0.0) -> StepRecord:
     """One step of the tableau's method from (t, y) to (t + h, y_next)."""
     Y, iters = solve_stages(tab.A, sys, y, h, cfg)
-    y_next = _update(tab.b, sys, y, h, Y)
+    y_next = y + _increment(tab.b, sys, h, Y)
     return StepRecord(state=State(t=t + h, y=y_next), h=h, alpha=tab.alpha,
                       stage_iters=iters, alpha_iters=0)
 
@@ -186,7 +185,7 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
         if evals == 1:
             H0 = float(sys.energy(y))
             gtol = cfg.alpha_tol * (1.0 + abs(H0))
-        y_next = _update(tab.b, sys, y, h, Y)
+        y_next = y + _increment(tab.b, sys, h, Y)
         g = float(sys.energy(y_next)) - H0
         if evals == 1 or abs(g) < best_g:
             best_g, best_alpha, best_y = abs(g), alpha, y_next
@@ -268,25 +267,24 @@ def _attempt_step(step, p: int, y: np.ndarray, h: float, t: float,
 
 
 def _stacked_attempt(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
-    """_attempt_step's attempt(y, h, t, alpha_prev) for a fixed tableau, in two stage solves.
+    """_attempt_step's attempt(y, h, t, alpha_prev) for a fixed tableau, in one stage solve.
 
-    One solve of the 2n-stage system diag(A, A/2) at h gives the full step and
-    the first half-step.  The second half-step starts from the full step's stage
-    polynomial u at tau = (1 + c) / 2: u(tau) - y = tau w(tau), where w of
-    degree n - 1 is (Y_i - y) / c_i at the nodes.
+    Two half-steps are one step of the composed 2n-stage tableau
+    [[A/2, 0], [1 b^T/2, A/2]] with weights (b/2, b/2), so the full step and
+    both halves solve diag(A, A/2, A/2) plus that coupling block, from y, with
+    one field call on 3n rows per sweep and one for the three updates.
     """
-    A, b, c, n, p = tab.A, tab.b, tab.c, tab.n_stages, tab.order
-    A2, b2 = np.kron(np.diag([1.0, 0.5]), A), np.stack([b, 0.5 * b])[:, None]
-    tau, off = 0.5 + 0.5 * c, ~np.eye(n, dtype=bool)  # Lagrange basis on c, at tau
-    warm = tau[:, None] / c * (np.where(off, tau[:, None, None] - c, 1.0).prod(axis=2)
-                               / np.where(off, c[:, None] - c, 1.0).prod(axis=1))
+    A, b, n, p = tab.A, tab.b, tab.n_stages, tab.order
+    A3 = np.kron(np.diag([1.0, 0.5, 0.5]), A)
+    A3[2 * n:, n:2 * n] = 0.5 * b
+    b3 = np.stack([b, 0.5 * b, 0.5 * b])[:, None]
 
     def attempt(y, h, t, alpha_prev):
-        Y, iters = solve_stages(A2, sys, y, h, cfg)
-        (full,), (half,) = _update(b2, sys, y, h, Y)
-        Z, more = solve_stages(A, sys, half, 0.5 * h, cfg, y + warm @ (Y[:n] - y))
-        last = _update(b, sys, half, 0.5 * h, Z)
-        return StepRecord(state=State(t=t + h, y=last), h=h, alpha=0.0, stage_iters=iters + more,
+        Y, iters = solve_stages(A3, sys, y, h, cfg)
+        dy = _increment(b3, sys, h, Y)[:, 0]
+        full, half = y + dy[0], y + dy[1]
+        last = half + dy[2]
+        return StepRecord(state=State(t=t + h, y=last), h=h, alpha=0.0, stage_iters=iters,
                           alpha_iters=0, err_est=float(abs(full - last).max()) / (2.0 ** p - 1.0))
     return attempt
 

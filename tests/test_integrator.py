@@ -420,15 +420,13 @@ def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg)
     rec = equip_step(3, sys, state0.y, T / 100, cfg)
     assert rec.alpha_iters > 1 and not rec.flagged
     assert len(calls) == rec.stage_iters + rec.alpha_iters
-    # a Gauss attempt: each sweep of the stacked solve and its update see the
-    # full step's and the first half-step's 2n = 6 stages at once, then the
-    # second half-step's solve and update see 3; stage_iters counts both solves
+    # a Gauss attempt: each sweep of its one stacked solve, and the update,
+    # see the full step's and both half-steps' 3n = 9 stages at once
     calls.clear()
     _, attempt = _stepper(GAUSS3, sys, cfg)
     rec = attempt(state0.y, T / 100, 0.0, 0.0)
-    stacked = calls.count((6, 4))
-    assert stacked >= 2
-    assert calls == [(6, 4)] * stacked + [(3, 4)] * (rec.stage_iters + 2 - stacked)
+    assert rec.stage_iters >= 2
+    assert calls == [(9, 4)] * (rec.stage_iters + 1)
 
 
 def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cfg):
@@ -585,8 +583,8 @@ def test_step_doubling_error_order_follows_method(cfg):
        p=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
        h=st.floats(-0.1, 0.1), method=st.sampled_from([GAUSS3, HBVM63, HBVM123]))
 def test_stacked_attempt_is_the_full_step_and_two_half_steps(r, theta, p, h, method):
-    # one stacked solve for the full step and the first half-step, and a warm
-    # second half-step, give the three rk_steps' result to the stage tolerance
+    # one stacked solve for the full step and the composed two half-steps
+    # gives the three rk_steps' result to the stage tolerance
     cfg = SolverConfig()
     sys, _ = kepler_system(0.6)
     y = np.array([r * np.cos(theta), r * np.sin(theta), *p])
@@ -603,30 +601,37 @@ def test_stacked_attempt_is_the_full_step_and_two_half_steps(r, theta, p, h, met
     assert abs(rec.err_est - err) <= bound / (2.0 ** method.order - 1.0)
 
 
-def test_warm_second_half_step_saves_stage_iterations(monkeypatch, cfg):
-    # regression guard: each attempt is one stacked solve from y and a second
-    # half-step started from the full step's stage polynomial, which takes 166
-    # iterations where starts from y would take 208 (Gauss(3)), and 172 where
-    # they would take 215 (HBVM(12,3)), over 32 attempts each
-    starts, warm, cold = [], [], []
-    solve = integrator.solve_stages
+def test_stacked_attempt_sweeps_no_more_than_its_full_step(monkeypatch, cfg):
+    # regression guard: a sweep of the half-steps contracts about four times
+    # more than one of the full step, so they converge within its sweeps; over
+    # one period the 32 attempts take 254 sweeps (Gauss(3)) and 268
+    # (HBVM(12,3)), where their three separate solves take 662 and 695
+    attempts = []
+    stacked = integrator._stacked_attempt
 
-    def counted(A, sys, y, h, cfg, Y0=None):
-        Y, iters = solve(A, sys, y, h, cfg, Y0)
-        starts.append(Y0 is not None)
-        if Y0 is not None:
-            warm.append(iters)
-            cold.append(solve(A, sys, y, h, cfg)[1])
-        return Y, iters
+    def recording(tab, sys, cfg):
+        attempt = stacked(tab, sys, cfg)
 
-    monkeypatch.setattr(integrator, "solve_stages", counted)
+        def recorded(y, h, t, alpha_prev):
+            rec = attempt(y, h, t, alpha_prev)
+            attempts.append((y, h, rec.stage_iters))
+            return rec
+        return recorded
+
+    monkeypatch.setattr(integrator, "_stacked_attempt", recording)
     sys, state0 = kepler_system(0.6)
     for method in (GAUSS3, HBVM123):
-        for counts in (starts, warm, cold):
-            counts.clear()
+        attempts.clear()
         integrate_adaptive(method, sys, state0.y, [T], 1e-8, cfg)
-        assert starts == [False, True] * len(warm)
-        assert sum(warm) <= 0.85 * sum(cold)
+        tab, three = build_tableau(method), 0
+        for y, h, iters in attempts:
+            full = rk_step(tab, sys, y, h, cfg)
+            half = rk_step(tab, sys, y, h / 2, cfg)
+            last = rk_step(tab, sys, half.state.y, h / 2, cfg)
+            three += full.stage_iters + half.stage_iters + last.stage_iters
+            assert iters <= full.stage_iters
+        assert len(attempts) == 32
+        assert sum(iters for *_, iters in attempts) <= 0.45 * three
 
 
 def test_propose_factor_formula():
@@ -676,7 +681,8 @@ def test_adaptive_min_step_abort_after_persistent_solver_failure(cfg, first_h):
 
 @pytest.mark.parametrize("method", [GAUSS3, EQUIP3], ids=str)
 def test_adaptive_halves_h_after_non_finite_update(method, cfg, first_h):
-    # the first attempt's full step (field calls 1, 2) has an inf update
+    # the first attempt's first update (field call 2, after a one-sweep
+    # stage solve) is inf
     y0 = np.array([1.0, 0.0])
     (recs,) = integrate_adaptive(method, trapped_system({2}), y0, [1.0], 1e-8, cfg)
     assert recs[0].h == 0.25
@@ -711,9 +717,10 @@ def test_drift_campaign_has_no_zero_error_estimate(drift_campaign):
 
 
 def test_drift_campaign_stacked_attempts_keep_every_step_for_fewer_sweeps(drift_campaign):
-    # accepted steps and summed stage iterations per method; three separate
-    # solves per Gauss or HBVM attempt took 25,204 and 20,857 iterations for
-    # the same steps, and EQUIP's three sequential steps are what they were
+    # accepted steps and summed stage iterations per method; one stacked solve
+    # per Gauss or HBVM attempt takes 9307 and 7775 iterations, where three
+    # separate solves took 25,204 and 20,857 for the same steps, and EQUIP's
+    # three sequential steps are what they were
     _, _, data = drift_campaign
 
     def totals(method):
@@ -721,8 +728,8 @@ def test_drift_campaign_stacked_attempts_keep_every_step_for_fewer_sweeps(drift_
         return len(recs), sum(r.stage_iters for r in recs), sum(r.alpha_iters for r in recs)
 
     gauss, hbvm = totals("gauss:s=3"), totals("hbvm:k=12,s=3")
-    assert gauss[0] == 1380 and gauss[1] <= 17_600
-    assert hbvm[0] == 1080 and hbvm[1] <= 14_600
+    assert gauss[0] == 1380 and gauss[1] <= 9800
+    assert hbvm[0] == 1080 and hbvm[1] <= 8200
     assert totals("equip:s=3") == (1323, 77_816, 16_556)
 
 

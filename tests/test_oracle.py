@@ -16,11 +16,13 @@ from unittest import mock
 
 import mpmath
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
 from geork import integrator
 from geork.dynamics import kepler_system
-from geork.integrator import SolverConfig, _stepper, equip_step, rk_step
+from geork.integrator import (
+    Divergence, NonConvergence, SolverConfig, _stepper, equip_step, rk_step)
 from geork.tableau import MethodSpec, build_tableau
 from test_quadrature import classical_legendre, mp_gauss_rule
 
@@ -35,22 +37,10 @@ HBVM63 = MethodSpec("hbvm", 3, 6)
 HBVM123 = MethodSpec("hbvm", 3, 12)
 EQUIP3 = MethodSpec("equip", 3)
 
-
-def periapsis(y) -> float:
-    """Closest approach to the origin of the Kepler orbit through y: L^2 / (1 + e)."""
-    L = y[0] * y[3] - y[1] * y[2]
-    H = 0.5 * (y[2] ** 2 + y[3] ** 2) - 1.0 / np.hypot(y[0], y[1])
-    return L * L / (1.0 + np.sqrt(max(1.0 + 2.0 * H * L * L, 0.0)))
-
-
-# Kepler states with 0.5 <= |q| <= 2 and |p_i| <= 1 on orbits that stay at
-# |q| >= 0.3, and steps of either sign.  Nearer the origin a step of 0.25 is
-# beyond the fixed-point iteration, the oracle's as well as the float one's:
-# at q = (0.5, 0), p = (1, 0), a radial orbit, h = -0.25 crosses the collision
+# Kepler states with 0.5 <= |q| <= 2 and |p_i| <= 1, and steps of either sign
 kepler_states = st.builds(
     lambda r, theta, p1, p2: np.array([r * np.cos(theta), r * np.sin(theta), p1, p2]),
-    st.floats(0.5, 2.0), st.floats(0.0, 2 * np.pi), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
-).filter(lambda y: periapsis(y) >= 0.3)
+    st.floats(0.5, 2.0), st.floats(0.0, 2 * np.pi), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 steps = st.floats(-0.25, 0.25)
 # from here an EQUIP step of h = 0.125 exhausts its secant budget (one of 0.25 does not)
 SECANT_FAILS = np.array([0.5, 0.0, 0.0, 1.0])
@@ -194,10 +184,11 @@ def test_equip_step_matches_the_40_digit_step_at_its_alpha(y, h):
 @oracle_settings
 @given(y=kepler_states, h=steps, spec=st.sampled_from([GAUSS3, HBVM63, EQUIP3]))
 @example(y=SECANT_FAILS, h=0.25, spec=EQUIP3)
+@example(y=np.array([0.5, 0.0, 1.0, 0.0]), h=-0.25, spec=GAUSS3)
 def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
-    # the attempt the adaptive driver runs (one stacked solve and a warm
-    # second half-step for Gauss and HBVM, three EQUIP steps) against the mp
-    # full step and two half-steps, each EQUIP one at the alpha it chose
+    # the attempt the adaptive driver runs (one stacked solve for Gauss and
+    # HBVM, three EQUIP steps) against the mp full step and two half-steps,
+    # each EQUIP one at the alpha it chose
     alphas = []
 
     def recording(*args):
@@ -206,8 +197,18 @@ def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
         return rec
 
     with mock.patch.object(integrator, "equip_step", recording):
-        _, attempt = _stepper(spec, KEPLER, CFG)
-        rec = attempt(y, h, 0.0, 0.0)
+        step, attempt = _stepper(spec, KEPLER, CFG)
+        try:
+            rec = attempt(y, h, 0.0, 0.0)
+        except (NonConvergence, Divergence):
+            # a step that crosses the collision (the second example) is beyond
+            # the fixed-point iteration; the attempt may fail only where the
+            # three steps it stands for fail too
+            with pytest.raises((NonConvergence, Divergence)):
+                step(y, h, 0.0, 0.0)
+                half = step(y, h / 2, 0.0, 0.0)
+                step(half.state.y, h / 2, h / 2, half.alpha)
+            reject()
     assert len(alphas) == (3 if spec.kind == "equip" else 0)
     a_full, a_half, a_last = alphas or (0.0, 0.0, 0.0)
     full = mp_step(spec, y, h, a_full)
