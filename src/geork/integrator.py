@@ -132,7 +132,7 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
     # Q = q + hA P = q + hA p + (hA)^2 F(Q): base holds the force-free terms and
     # rows 2i, 2i + 1 of M stage i's Q and P force terms, so one product gives both
     M = np.concatenate([hA @ hA, hA], axis=1).reshape(2 * n, n)
-    rows = np.broadcast_to(y, (n, y.size))
+    rows = np.repeat(y[None], n, axis=0)
     base = np.concatenate([rows[:, :m] + hA @ rows[:, m:], rows[:, m:]], axis=1)
     Y = rows if Y0 is None else Y0
     for it in range(1, cfg.max_stage_iters + 1):
