@@ -2,7 +2,7 @@
 
 All three families come from one formula on n Gauss-Legendre nodes:
 
-    A = W Xhat_s(alpha) W_s^T Omega,
+    A(alpha) = W Xhat_s(alpha) W_s^T Omega = A0 + alpha D,
 
 where W holds the first s + 1 shifted orthonormal Legendre polynomials at the
 nodes, W_s its first s columns, Omega = diag(weights) and Xhat_s(alpha) is
@@ -12,9 +12,9 @@ At n = s the last column of W is the degree-s polynomial, which vanishes at
 the nodes, so only the top s x s block X_s(alpha) of the core contributes.
 
 The off-diagonal coefficients xi_j = 1/(2 sqrt(4 j^2 - 1)) couple neighbouring
-basis modes; the EQUIP parameter alpha perturbs only the outermost pair of
-the top block, which keeps the algebraic symplecticity condition intact for
-every alpha.
+basis modes; the EQUIP parameter alpha moves only the outermost pair of the
+top block, which keeps the algebraic symplecticity condition for every alpha.
+A0 is the tableau of the alpha-free core, and D that of the pair at alpha = 1.
 """
 
 from __future__ import annotations
@@ -50,25 +50,20 @@ def xi(j: int) -> float:
     return 1.0 / (2.0 * np.sqrt(4.0 * j * j - 1.0))
 
 
-def core_matrix(s: int, alpha: float = 0.0) -> np.ndarray:
-    """Read-only (s+1) x s core matrix Xhat_s(alpha) in the Legendre basis.
+def core_matrix(s: int) -> np.ndarray:
+    """Read-only (s+1) x s core matrix Xhat_s in the Legendre basis, at alpha = 0.
 
     Entry (1,1) is 1/2 and mode j couples to mode j + 1 through -xi_j above
-    and +xi_j below the diagonal; row s + 1 carries only xi_s.  alpha is
-    added to the outermost pair of the top s x s block, so s = 1 (no such
-    pair) takes only alpha = 0.
+    and +xi_j below the diagonal; row s + 1 carries only xi_s.
     """
     if s < 1:
         raise ValueError(f"s must be positive, got {s}")
-    if s == 1 and alpha != 0.0:  # NaN differs from 0 as well
-        raise ValueError(f"core_matrix(1) has no pair for alpha to perturb, got alpha={alpha}")
     X = np.zeros((s + 1, s))
     X[0, 0] = 0.5
     for j in range(1, s + 1):
-        off = xi(j) + (alpha if j == s - 1 else 0.0)
-        X[j, j - 1] = off
+        X[j, j - 1] = xi(j)
         if j < s:
-            X[j - 1, j] = -off
+            X[j - 1, j] = -xi(j)
     X.setflags(write=False)
     return X
 
@@ -138,16 +133,20 @@ class ButcherTableau:
 
 
 @functools.lru_cache(maxsize=None)
-def _node_basis(n_stages: int, s: int) -> tuple[QuadratureRule, np.ndarray]:
-    """Gauss rule on n_stages nodes and the read-only n_stages x (s+1) matrix W.
+def _pieces(n_stages: int, s: int) -> tuple[QuadratureRule, np.ndarray, np.ndarray]:
+    """Gauss rule on n_stages nodes and the read-only A0 and D of A(alpha) = A0 + alpha D.
 
-    This is the alpha-independent half of every tableau, built on first use,
-    so an EQUIP secant evaluation only forms the core matrix and two products.
+    alpha sits at (s-1, s-2) and, negated, at (s-2, s-1) of the core, so D is
+    (w_{s-1} w_{s-2}^T - w_{s-2} w_{s-1}^T) Omega, w_l column l of W; 0 at s = 1.
     """
     rule = gauss_rule(n_stages)
     W = vandermonde(rule, s + 1)
-    W.setflags(write=False)
-    return rule, W
+    A0 = (W @ core_matrix(s) @ W[:, :s].T) * rule.weights
+    pair = np.outer(W[:, s - 1], W[:, s - 2])
+    D = (pair - pair.T) * rule.weights if s > 1 else np.zeros_like(A0)
+    for M in (A0, D):
+        M.setflags(write=False)
+    return rule, A0, D
 
 
 def build_tableau(spec: MethodSpec, alpha: float = 0.0) -> ButcherTableau:
@@ -156,9 +155,9 @@ def build_tableau(spec: MethodSpec, alpha: float = 0.0) -> ButcherTableau:
         raise ValueError(f"alpha must be finite, got alpha={alpha}")
     if spec.kind != "equip" and alpha != 0.0:
         raise ValueError(f"alpha has no effect on {spec}; only equip takes it")
-    rule, W = _node_basis(spec.n_stages, spec.s)
-    A = (W @ core_matrix(spec.s, alpha) @ W[:, :spec.s].T) * rule.weights
-    return ButcherTableau(A=A, b=rule.weights, c=rule.nodes, spec=spec,
+    rule, A0, D = _pieces(spec.n_stages, spec.s)
+    return ButcherTableau(A=A0 if alpha == 0.0 else A0 + alpha * D, b=rule.weights,
+                          c=rule.nodes, spec=spec,
                           alpha=float(alpha) if spec.kind == "equip" else 0.0)
 
 

@@ -44,6 +44,8 @@ kepler_states = st.builds(
 steps = st.floats(-0.25, 0.25)
 # from here an EQUIP step of h = 0.125 exhausts its secant budget (one of 0.25 does not)
 SECANT_FAILS = np.array([0.5, 0.0, 0.0, 1.0])
+# a step of h = 0.25 from here crosses the collision, where no stage solve converges
+COLLIDES = np.array([0.5, 0.0, -1.0, 0.0])
 oracle_settings = settings(deadline=None, max_examples=20,
                            suppress_health_check=[HealthCheck.too_slow])
 
@@ -157,18 +159,35 @@ def test_mp_step_conserves_what_the_method_conserves():
 # float steps against it
 
 
+def reject_where_the_40_digit_solve_fails_too(spec, y, h):
+    """A float stage solve may fail only where the exact one at its start alpha (0) fails."""
+    with pytest.raises(AssertionError, match="did not converge"):
+        mp_step(spec, y, h)
+    reject()
+
+
 @oracle_settings
 @given(y=kepler_states, h=steps, spec=st.sampled_from([GAUSS3, HBVM63, HBVM123]))
+@example(y=COLLIDES, h=0.25, spec=GAUSS3)
 def test_rk_step_matches_the_40_digit_step(y, h, spec):
-    rec = rk_step(build_tableau(spec), KEPLER, y, h, CFG)
+    try:
+        rec = rk_step(build_tableau(spec), KEPLER, y, h, CFG)
+    except (NonConvergence, Divergence):
+        reject_where_the_40_digit_solve_fails_too(spec, y, h)
     assert distance(rec.state.y, mp_step(spec, y, h)) <= bound(y)
 
 
 @oracle_settings
 @given(y=kepler_states, h=steps)
 @example(y=SECANT_FAILS, h=0.125)
+@example(y=COLLIDES, h=0.25)
 def test_equip_step_matches_the_40_digit_step_at_its_alpha(y, h):
-    rec = equip_step(3, KEPLER, y, h, CFG)
+    try:
+        rec = equip_step(3, KEPLER, y, h, CFG)
+    except (NonConvergence, Divergence):
+        # a secant that fails at a later alpha is not excused: the exact
+        # solve at alpha = 0 converges there, so this check fails
+        reject_where_the_40_digit_solve_fails_too(EQUIP3, y, h)
     y_next = mp_step(EQUIP3, y, h, rec.alpha)
     assert distance(rec.state.y, y_next) <= bound(y)
     if not rec.flagged:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from geork import tableau
 from geork.quadrature import gauss_rule, vandermonde
 from geork.tableau import (
     ButcherTableau,
@@ -62,6 +63,26 @@ def legendre_hbvm(k, s):
     return A, b, 0.5 * (x + 1.0)
 
 
+def core_at(s, alpha):
+    """Xhat_s(alpha), built here: alpha added to the outermost pair of the top block."""
+    X = np.array(core_matrix(s))
+    X[s - 1, s - 2] += alpha
+    X[s - 2, s - 1] -= alpha
+    return X
+
+
+def recovered_core(A, n, s):
+    """W^T Omega A W_s on n = s or s + 1 nodes: the core that A = W Xhat W_s^T Omega comes from.
+
+    The first n columns of W are Omega-orthonormal there (their products have
+    degree <= 2n - 1), so this inverts the tableau formula.  At n = s the
+    degree-s mode vanishes at the nodes, so only the top s x s block comes back.
+    """
+    rule = gauss_rule(n)
+    W = vandermonde(rule, n)
+    return W.T @ (rule.weights[:, None] * A) @ W[:, :s]
+
+
 # ---------------------------------------------------------------------------
 # xi and the core matrices
 
@@ -74,15 +95,6 @@ def test_xi_values():
         xi(0)
 
 
-def test_core_matrix_s1_rejects_alpha():
-    # s = 1 has no outermost pair for alpha to perturb, so a nonzero alpha
-    # would be dropped unseen, as build_tableau refuses to for Gauss and HBVM
-    np.testing.assert_array_equal(core_matrix(1), [[0.5], [xi(1)]])
-    for alpha in (123.0, -1e-300, np.nan):
-        with pytest.raises(ValueError, match=f"alpha={alpha}"):
-            core_matrix(1, alpha)
-
-
 def test_core_matrix_s2():
     np.testing.assert_allclose(
         core_matrix(2)[:2], [[0.5, -0.28867513459481287], [0.28867513459481287, 0.0]],
@@ -90,25 +102,29 @@ def test_core_matrix_s2():
 
 
 def test_core_matrix_s3_alpha_placement():
-    X0 = core_matrix(3)
-    X = core_matrix(3, 0.1)
-    assert X[1, 2] == pytest.approx(-(xi(2) + 0.1), rel=1e-15)
-    assert X[2, 1] == pytest.approx(xi(2) + 0.1, rel=1e-15)
+    X0 = core_matrix(3)[:3]
+    X = recovered_core(build_equip_tableau(3, 0.1).A, 3, 3)
+    assert X[1, 2] == pytest.approx(-(xi(2) + 0.1), abs=1e-15)
+    assert X[2, 1] == pytest.approx(xi(2) + 0.1, abs=1e-15)
     # alpha touches only the outermost pair of the top block
     mask = np.ones_like(X, dtype=bool)
     mask[1, 2] = mask[2, 1] = False
-    np.testing.assert_array_equal(X[mask], X0[mask])
+    np.testing.assert_allclose(X[mask], X0[mask], atol=1e-15)
 
 
 def test_core_matrix_skew_structure():
     rng = np.random.default_rng(7)
     for s in range(1, 7):
-        for alpha in rng.uniform(-2, 2, size=3):
-            X = core_matrix(s, alpha if s > 1 else 0.0)[:s]  # s = 1 takes no alpha
-            e1e1 = np.zeros((s, s))
-            e1e1[0, 0] = 1.0
-            np.testing.assert_allclose(X + X.T, e1e1, atol=1e-15)
-            assert np.all(np.diag(X)[1:] == 0.0)
+        e1e1 = np.zeros((s, s))
+        e1e1[0, 0] = 1.0
+        X = core_matrix(s)[:s]
+        np.testing.assert_allclose(X + X.T, e1e1, atol=1e-15)
+        assert np.all(np.diag(X)[1:] == 0.0)
+        # the EQUIP core, read back from its tableau; s = 1 takes no alpha
+        for alpha in rng.uniform(-2, 2, size=3) if s > 1 else ():
+            X = recovered_core(build_equip_tableau(s, alpha).A, s, s)
+            np.testing.assert_allclose(X + X.T, e1e1, atol=1e-14)
+            np.testing.assert_allclose(np.diag(X)[1:], 0.0, atol=1e-14)
 
 
 def test_extended_core_matrix():
@@ -120,7 +136,11 @@ def test_extended_core_matrix():
         bottom[-1] = xi(s)
         np.testing.assert_array_equal(core_matrix(s)[s], bottom)
         if s > 1:  # s = 1 takes no alpha
-            np.testing.assert_array_equal(core_matrix(s, 0.7)[s], bottom)
+            # on s + 1 nodes the whole extended core of A0 + alpha D is visible,
+            # and alpha leaves its last row alone
+            _, A0, D = tableau._pieces(s + 1, s)
+            X = recovered_core(A0 + 0.7 * D, s + 1, s)
+            np.testing.assert_allclose(X, core_at(s, 0.7), atol=1e-14)
 
 
 def test_core_matrix_is_read_only():
@@ -175,20 +195,47 @@ def test_equip_alpha0_and_hbvm_ks_reduce_to_gauss(s):
                          + [(MethodSpec("equip", 3), 0.25), (MethodSpec("hbvm", 3, 12), 0.0)],
                          ids=str)
 def test_cached_basis_matches_fresh_build(spec, alpha):
-    # the second build takes the node rule and W from the cache the first
-    # filled; a fresh rule and W give the same bits
+    # the second build takes the node rule, A0 and D from the cache the
+    # first filled; a fresh rule and W give the same bits
     build_tableau(spec, alpha)
     t = build_tableau(spec, alpha)
     s = spec.s
     rule = gauss_rule(t.n_stages)
     W = vandermonde(rule, s + 1)
-    A = (W @ core_matrix(s, t.alpha) @ W[:, :s].T) * rule.weights
+    A = (W @ core_matrix(s) @ W[:, :s].T) * rule.weights
+    if alpha != 0.0:
+        pair = np.outer(W[:, s - 1], W[:, s - 2])
+        A = A + alpha * ((pair - pair.T) * rule.weights)
     np.testing.assert_array_equal(t.A, A)
     np.testing.assert_array_equal(t.b, rule.weights)
     np.testing.assert_array_equal(t.c, rule.nodes)
     for array in (t.A, t.b, t.c):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+@given(s=st.integers(2, 6), alpha=st.floats(-1e3, 1e3))
+def test_equip_tableau_is_the_core_formula_at_alpha(s, alpha):
+    # A0 + alpha D against W Xhat_s(alpha) W_s^T Omega with alpha placed in
+    # the core here, within a few ulps of the largest entry
+    rule = gauss_rule(s)
+    W = vandermonde(rule, s + 1)
+    A = (W @ core_at(s, alpha) @ W[:, :s].T) * rule.weights
+    np.testing.assert_allclose(build_equip_tableau(s, alpha).A, A,
+                               rtol=0, atol=4 * np.spacing(np.abs(A).max()))
+
+
+def test_a_new_alpha_builds_no_core_matrix(monkeypatch):
+    # the alpha-free pieces are cached per (n, s): an EQUIP build at a new
+    # alpha is A0 + alpha D, with no core matrix or product formed again
+    calls = []
+    monkeypatch.setattr(tableau, "core_matrix",
+                        lambda *args: calls.append(args) or core_matrix(*args))
+    build_equip_tableau(4, 0.1)
+    calls.clear()
+    t = build_equip_tableau(4, -0.3)
+    assert calls == []
+    assert t.alpha == -0.3
 
 
 def test_tableau_metadata():
