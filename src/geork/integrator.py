@@ -11,15 +11,16 @@ alpha until the step conserves the energy; each evaluation after a step's
 first starts from the previous one's stages, O(delta alpha) away.  When the
 secant stalls (zero or non-finite denominator, non-finite alpha) or spends
 its budget, the step takes the evaluated alpha of least energy change,
-flagged.  A Gauss or HBVM step-doubling attempt solves the full step and the
-two half-steps as one stacked stage system, the halves as their composed
-2n-stage tableau; EQUIP's three steps tune different alphas, so they stay
-sequential.  A failed stage solve or a non-finite result raises out of any
-step; only the drivers change h, with context.
+flagged.  A step-doubling attempt solves the full step and the two
+half-steps as one stacked stage system, the halves as their composed 2n-stage
+tableau; EQUIP gives each block its own alpha and runs the three secants in
+lockstep on that one system.  A failed stage solve or a non-finite result
+raises out of any step; only the drivers change h, with context.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from numbers import Integral
 
@@ -91,7 +92,8 @@ class StepRecord:
     """One accepted step; alpha is 0 for non-EQUIP methods.
 
     ``flagged`` marks EQUIP steps whose secant stopped short of energy
-    conservation; ``err_est`` is set in adaptive mode only.
+    conservation; ``err_est`` is set in adaptive mode only.  An EQUIP attempt's
+    alpha is its last half-step's, and alpha_iters counts its stacked evaluations.
     """
 
     state: State
@@ -166,55 +168,81 @@ def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
                       stage_iters=iters, alpha_iters=0)
 
 
-def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float,
-               cfg: SolverConfig, alpha_prev: float = 0.0, t: float = 0.0) -> StepRecord:
-    """EQUIP step: tune alpha so the step conserves H, then advance h.
+def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> float:
+    """The secant's next alpha: alpha + _SECANT_PROBE without a previous point, NaN on a stall."""
+    if alpha_old is None:
+        return alpha + _SECANT_PROBE
+    denom = g - g_old
+    stalled = denom == 0.0 or not math.isfinite(denom)
+    return math.nan if stalled else alpha - g * (alpha - alpha_old) / denom
+
+
+def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: SolverConfig,
+               alpha_prev: float = 0.0, t: float = 0.0, *, doubling: bool = False) -> StepRecord:
+    """EQUIP step, or with doubling a step-doubling attempt: tune alpha so H is kept.
 
     The secant on g(alpha) = H(y_next(alpha)) - H(y) starts from alpha_prev.
-    If it stalls or spends its budget, the step at the evaluated alpha of
-    least |g| is returned, flagged, and still counts all the work spent.
-    H(y) is taken after the first stage solve succeeds, which has evaluated
-    the field at y, so a y outside the field's domain fails as a Divergence
-    before any energy evaluation.
+    An attempt solves _doubling's system with one alpha per block and runs
+    three secants in lockstep, on H(full) - H(y), H(half) - H(y) and
+    H(last) - H(half); a block whose |g| meets the tolerance keeps its alpha
+    while it does, and the attempt ends when all three meet it at once.  On a
+    stall or a spent budget the evaluation of least largest |g| is returned,
+    flagged, counting all the work spent.  H(y) is taken after the first
+    stage solve succeeds, which has evaluated the field at y, so a y outside
+    the field's domain fails as a Divergence before any energy evaluation.
     """
-    alpha, stage_iters, Y = alpha_prev, 0, None
+    k = 3 if doubling else 1
+    tabs = [build_equip_tableau(s, alpha_prev)] * k
+    alpha, alpha_old, g_old = [tabs[0].alpha] * k, [None] * k, [0.0] * k
+    stage_iters, Y = 0, None
     for evals in range(1, cfg.max_alpha_iters + 1):
-        tab = build_equip_tableau(s, alpha)
-        Y, iters = solve_stages(tab.A, sys, y, h, cfg, Y)
+        for i, a in enumerate(alpha):  # a block's tableau is rebuilt only when its alpha moved
+            if tabs[i].alpha != a:
+                tabs[i] = build_equip_tableau(s, a)
+        A, b = _doubling(tabs) if doubling else (tabs[0].A, tabs[0].b)
+        Y, iters = solve_stages(A, sys, y, h, cfg, Y)
         stage_iters += iters
         if evals == 1:
             H0 = float(sys.energy(y))
             gtol = cfg.alpha_tol * (1.0 + abs(H0))
-        y_next = y + _increment(tab.b, sys, h, Y)
-        g = float(sys.energy(y_next)) - H0
-        if evals == 1 or abs(g) < best_g:
-            best_g, best_alpha, best_y = abs(g), alpha, y_next
-        if abs(g) <= gtol:
-            break
-        if evals == 1:
-            alpha_next = alpha + _SECANT_PROBE
+        if doubling:
+            states = _doubled_states(b, sys, y, h, Y)
+            H = [float(e) for e in sys.energy(np.array(states))]
+            g = [H[0] - H0, H[1] - H0, H[2] - H[1]]
         else:
-            denom = g - g_old
-            if denom == 0.0 or not np.isfinite(denom):
-                break
-            alpha_next = alpha - g * (alpha - alpha_old) / denom
-            if not np.isfinite(alpha_next):
-                break
-        alpha_old, g_old, alpha = alpha, g, alpha_next
-    # NaN fails the comparison, so a NaN energy change is flagged too
-    return StepRecord(state=State(t=t + h, y=best_y), h=h, alpha=best_alpha,
-                      stage_iters=stage_iters, alpha_iters=evals, flagged=not best_g <= gtol)
+            states = (y + _increment(b, sys, h, Y),)
+            g = [float(sys.energy(states[0])) - H0]
+        # a NaN energy change counts as infinite: it meets no tolerance and is flagged
+        worst = math.inf if math.isnan(sum(g)) else max(map(abs, g))
+        if evals == 1 or worst < best_g:
+            best_g, best_alpha, best = worst, alpha[-1], states
+        if worst <= gtol:
+            break
+        for i in range(k):  # the blocks not within gtol move; a stall ends the secants
+            if not abs(g[i]) <= gtol:
+                a = _secant(alpha[i], g[i], alpha_old[i], g_old[i])
+                if not math.isfinite(a):
+                    break
+                alpha_old[i], g_old[i], alpha[i] = alpha[i], g[i], a
+        else:
+            continue
+        break
+    err_est = float(abs(best[0] - best[-1]).max()) / (2.0 ** (2 * s) - 1.0) if doubling else None
+    return StepRecord(state=State(t=t + h, y=best[-1]), h=h, alpha=best_alpha,
+                      stage_iters=stage_iters, alpha_iters=evals, err_est=err_est,
+                      flagged=not best_g <= gtol)
 
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
     """step and attempt(y, h, t, alpha_prev) -> StepRecord; the one place method.kind is read.
 
-    An attempt is one step-doubling attempt, with err_est.  Gauss and HBVM
-    build their tableau once here; EQUIP builds one per alpha.
+    An attempt is one step-doubling attempt, with err_est.  EQUIP tunes its
+    alphas in equip_step; Gauss and HBVM build their tableau once here.
     """
     if method.kind == "equip":
-        step = lambda y, h, t, alpha_prev: equip_step(method.s, sys, y, h, cfg, alpha_prev, t)
-        return step, lambda *args: _attempt_step(step, method.order, *args)
+        def step(y, h, t, alpha_prev, doubling=False):
+            return equip_step(method.s, sys, y, h, cfg, alpha_prev, t, doubling=doubling)
+        return step, lambda *args: step(*args, doubling=True)
     tab = build_tableau(method)
     return (lambda y, h, t, alpha_prev: rk_step(tab, sys, y, h, cfg, t),
             _stacked_attempt(tab, sys, cfg))
@@ -248,42 +276,37 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
     return records
 
 
-def _attempt_step(step, p: int, y: np.ndarray, h: float, t: float,
-                  alpha_prev: float) -> StepRecord:
-    """One step-doubling attempt of an order-p step: the two-half-step record with err_est.
+def _doubling(tabs) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) of the full step's and two half-steps' tableaus as one 3n-stage system.
 
-    Local extrapolation is deliberately not applied: the raw two-half-step
-    value preserves the method's conservation character.
+    Two half-steps are one step of the composed tableau [[A/2, 0], [1 b^T/2, A/2]]
+    with weights (b/2, b/2), so A = [[A1, 0, 0], [0, A2/2, 0], [0, 1 b^T/2, A3/2]]
+    and b is the (3, 1, n) weight block of the three updates.  err_est is
+    |full - last|_inf / (2^p - 1), without local extrapolation: the raw
+    two-half-step value keeps the method's conservation character.
     """
-    full = step(y, h, t, alpha_prev)
-    half = step(y, 0.5 * h, t, alpha_prev)
-    last = step(half.state.y, 0.5 * h, t + 0.5 * h, half.alpha)
-    return StepRecord(
-        state=State(t=t + h, y=last.state.y), h=h, alpha=last.alpha,
-        stage_iters=full.stage_iters + half.stage_iters + last.stage_iters,
-        alpha_iters=full.alpha_iters + half.alpha_iters + last.alpha_iters,
-        err_est=float(abs(full.state.y - last.state.y).max()) / (2.0 ** p - 1.0),
-        flagged=full.flagged or half.flagged or last.flagged)
+    (A1, A2, A3), b, n = (tab.A for tab in tabs), tabs[0].b, tabs[0].n_stages
+    A = np.zeros((3 * n, 3 * n))
+    A[:n, :n], A[n:2 * n, n:2 * n], A[2 * n:, 2 * n:], A[2 * n:, n:2 * n] = A1, A2, A3, b
+    A[n:, n:] *= 0.5
+    return A, np.multiply.outer([1.0, 0.5, 0.5], b)[:, None]
+
+
+def _doubled_states(b3: np.ndarray, sys: HamiltonianSystem, y: np.ndarray, h: float,
+                    Y: np.ndarray):
+    """(full, half, last) from the stacked stages, with one field call for the three updates."""
+    dy = _increment(b3, sys, h, Y)[:, 0]
+    half = y + dy[1]
+    return y + dy[0], half, half + dy[2]
 
 
 def _stacked_attempt(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
-    """_attempt_step's attempt(y, h, t, alpha_prev) for a fixed tableau, in one stage solve.
-
-    Two half-steps are one step of the composed 2n-stage tableau
-    [[A/2, 0], [1 b^T/2, A/2]] with weights (b/2, b/2), so the full step and
-    both halves solve diag(A, A/2, A/2) plus that coupling block, from y, with
-    one field call on 3n rows per sweep and one for the three updates.
-    """
-    A, b, n, p = tab.A, tab.b, tab.n_stages, tab.order
-    A3 = np.kron(np.diag([1.0, 0.5, 0.5]), A)
-    A3[2 * n:, n:2 * n] = 0.5 * b
-    b3 = np.stack([b, 0.5 * b, 0.5 * b])[:, None]
+    """attempt(y, h, t, alpha_prev) of a fixed tableau: one solve of _doubling([tab] * 3)."""
+    (A3, b3), p = _doubling([tab] * 3), tab.order
 
     def attempt(y, h, t, alpha_prev):
         Y, iters = solve_stages(A3, sys, y, h, cfg)
-        dy = _increment(b3, sys, h, Y)[:, 0]
-        full, half = y + dy[0], y + dy[1]
-        last = half + dy[2]
+        full, _, last = _doubled_states(b3, sys, y, h, Y)
         return StepRecord(state=State(t=t + h, y=last), h=h, alpha=0.0, stage_iters=iters,
                           alpha_iters=0, err_est=float(abs(full - last).max()) / (2.0 ** p - 1.0))
     return attempt

@@ -1,8 +1,10 @@
+import contextlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from geork import integrator
@@ -76,6 +78,35 @@ def untouchable_system():
 def first_h(monkeypatch):
     """The adaptive driver's first attempt has h = 0.5 and costs no field call."""
     monkeypatch.setattr(integrator, "initial_stepsize", lambda sys, y0: 0.5)
+
+
+@contextlib.contextmanager
+def stacked_evaluations():
+    """Yield (alphas, states), filled per evaluation of the stacked attempts run in the block.
+
+    integrator._doubling forms each evaluation's system from its three
+    tableaus, whose alphas are recorded, and integrator._doubled_states gives
+    its (full, half, last) states.
+    """
+    alphas, states = [], []
+    doubling, doubled_states = integrator._doubling, integrator._doubled_states
+
+    def recording_doubling(tabs):
+        alphas.append(tuple(tab.alpha for tab in tabs))
+        return doubling(tabs)
+
+    def recording_states(*args):
+        states.append(doubled_states(*args))
+        return states[-1]
+
+    with mock.patch.object(integrator, "_doubling", recording_doubling), \
+            mock.patch.object(integrator, "_doubled_states", recording_states):
+        yield alphas, states
+
+
+def returned_evaluation(evaluations, rec):
+    """(alphas, (full, half, last)) of the evaluation whose last state the attempt returned."""
+    return next((a, s) for a, s in zip(*evaluations) if s[2] is rec.state.y)
 
 
 def step_doubling_error(method, sys, y, h, cfg):
@@ -427,6 +458,13 @@ def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg)
     rec = attempt(state0.y, T / 100, 0.0, 0.0)
     assert rec.stage_iters >= 2
     assert calls == [(9, 4)] * (rec.stage_iters + 1)
+    # an EQUIP attempt: each evaluation is one stacked solve and one update,
+    # on the three blocks' 9 stages
+    calls.clear()
+    _, attempt = _stepper(EQUIP3, sys, cfg)
+    rec = attempt(state0.y, T / 100, 0.0, 0.0)
+    assert rec.alpha_iters > 1 and not rec.flagged
+    assert calls == [(9, 4)] * (rec.stage_iters + rec.alpha_iters)
 
 
 def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cfg):
@@ -434,9 +472,12 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
     # integrator.equip_step and alpha evaluations by wrapping
     # integrator.build_equip_tableau; a name bound at import would hide them
     calls = {"equip_step": 0, "build_equip_tableau": 0}
+    built = []
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(integrator, name), **kwargs):
             calls[_name] += 1
+            if _name == "build_equip_tableau":
+                built.append(args[1])
             return _fn(*args, **kwargs)
         monkeypatch.setattr(integrator, name, counted)
     sys, state0 = kepler_system(0.6)
@@ -449,6 +490,18 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
     rec = integrator.equip_step(3, sys, state0.y, T / 100, starved)
     assert rec.flagged
     assert calls == {"equip_step": 1, "build_equip_tableau": 3}
+    # an attempt is one equip_step call; its first evaluation builds one
+    # tableau for all three blocks, and each later one a tableau per block
+    # whose alpha moved
+    calls.update(equip_step=0, build_equip_tableau=0)
+    built.clear()
+    _, attempt = _stepper(EQUIP3, sys, cfg)
+    with stacked_evaluations() as (alphas, _):
+        rec = attempt(state0.y, T / 100, 0.0, 0.0)
+    moved = [a for old, new in zip(alphas, alphas[1:]) for a_old, a in zip(old, new) if a != a_old]
+    assert alphas[0] == (0.0, 0.0, 0.0) and rec.alpha_iters == len(alphas) > 2
+    assert built == [0.0, *moved] and len(moved) < 3 * (len(alphas) - 1)
+    assert calls == {"equip_step": 1, "build_equip_tableau": len(built)}
 
 
 def test_single_step_matches_driver(cfg):
@@ -601,6 +654,48 @@ def test_stacked_attempt_is_the_full_step_and_two_half_steps(r, theta, p, h, met
     assert abs(rec.err_est - err) <= bound / (2.0 ** method.order - 1.0)
 
 
+@settings(deadline=None, max_examples=40)
+@given(r=st.floats(0.5, 2.0), theta=st.floats(0.0, T),
+       p=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2), h=st.floats(-0.1, 0.1))
+@example(r=0.5, theta=0.0, p=[-1.0, 0.0], h=0.25)  # crosses the collision: both raise
+def test_stacked_equip_attempt_is_three_sequential_equip_steps(r, theta, p, h):
+    # the full step's and the first half-step's secants take the same alphas
+    # as two sequential equip_steps, so those blocks match them to the stage
+    # tolerance; the last block's secant starts from alpha_prev, not from the
+    # half-step's alpha, so it may settle elsewhere in the band where its
+    # |g| meets gtol, or at another root of g (1.2e-9 apart at h = -0.155 in
+    # one sampled case): it is compared with the sequential last step at its
+    # own alpha, which must meet that step's energy condition
+    cfg = SolverConfig()
+    sys, _ = kepler_system(0.6)
+    y = np.array([r * np.cos(theta), r * np.sin(theta), *p])
+    step, attempt = _stepper(EQUIP3, sys, cfg)
+    with stacked_evaluations() as evaluations:
+        try:
+            rec = attempt(y, h, 0.0, 0.0)
+        except (NonConvergence, Divergence):
+            with pytest.raises((NonConvergence, Divergence)):
+                step(y, h, 0.0, 0.0)
+                half = step(y, h / 2, 0.0, 0.0)
+                step(half.state.y, h / 2, h / 2, half.alpha)
+            return
+    full = step(y, h, 0.0, 0.0)
+    half = step(y, h / 2, 0.0, 0.0)
+    last = step(half.state.y, h / 2, h / 2, half.alpha)
+    assume(not (rec.flagged or full.flagged or half.flagged or last.flagged))
+    (_, _, a_last), states = returned_evaluation(evaluations, rec)
+    assert (rec.state.t, rec.h, rec.alpha, rec.alpha_iters) == (h, h, a_last, len(evaluations[0]))
+    bound = 2 * cfg.stage_tol * (1 + np.max(np.abs(y)))
+    at_alpha = rk_step(build_equip_tableau(3, a_last), sys, half.state.y, h / 2, cfg)
+    for stacked, sequential in zip(states, (full, half, at_alpha)):
+        assert np.max(np.abs(stacked - sequential.state.y)) <= bound
+    gtol = cfg.alpha_tol * (1 + abs(float(sys.energy(y))))
+    grad = float(np.sum(np.abs(sys.gradient(half.state.y))))
+    assert abs(float(sys.energy(at_alpha.state.y) - sys.energy(half.state.y))) <= gtol + grad * bound
+    err = np.max(np.abs(full.state.y - at_alpha.state.y)) / (2.0 ** EQUIP3.order - 1.0)
+    assert rec.err_est == pytest.approx(err, rel=5e-4, abs=2 * bound / (2.0 ** EQUIP3.order - 1.0))
+
+
 def test_stacked_attempt_sweeps_no_more_than_its_full_step(monkeypatch, cfg):
     # regression guard: a sweep of the half-steps contracts about four times
     # more than one of the full step, so they converge within its sweeps; over
@@ -719,8 +814,9 @@ def test_drift_campaign_has_no_zero_error_estimate(drift_campaign):
 def test_drift_campaign_stacked_attempts_keep_every_step_for_fewer_sweeps(drift_campaign):
     # accepted steps and summed stage iterations per method; one stacked solve
     # per Gauss or HBVM attempt takes 9307 and 7775 iterations, where three
-    # separate solves took 25,204 and 20,857 for the same steps; EQUIP's three
-    # sequential steps are pinned exactly
+    # separate solves took 25,204 and 20,857 for the same steps; EQUIP's
+    # stacked attempts are pinned exactly (its three sequential steps took
+    # 77,849 stage iterations and 16,565 evaluations), with none flagged
     _, _, data = drift_campaign
 
     def totals(method):
@@ -730,7 +826,8 @@ def test_drift_campaign_stacked_attempts_keep_every_step_for_fewer_sweeps(drift_
     gauss, hbvm = totals("gauss:s=3"), totals("hbvm:k=12,s=3")
     assert gauss[0] == 1380 and gauss[1] <= 9800
     assert hbvm[0] == 1080 and hbvm[1] <= 8200
-    assert totals("equip:s=3") == (1323, 77_849, 16_565)
+    assert totals("equip:s=3") == (1323, 34_001, 6560)
+    assert not any(r.flagged for recs in data["equip:s=3"][0] for r in recs)
 
 
 def test_adaptive_validates_inputs(harmonic, cfg):

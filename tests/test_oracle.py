@@ -12,18 +12,17 @@ reference step at the alpha the float step chose.
 """
 
 import functools
-from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
-from geork import integrator
 from geork.dynamics import kepler_system
 from geork.integrator import (
     Divergence, NonConvergence, SolverConfig, _stepper, equip_step, rk_step)
 from geork.tableau import MethodSpec, build_tableau
+from test_integrator import returned_evaluation, stacked_evaluations
 from test_quadrature import classical_legendre, mp_gauss_rule
 
 DPS = 40
@@ -206,16 +205,9 @@ def test_equip_step_matches_the_40_digit_step_at_its_alpha(y, h):
 @example(y=np.array([0.5, 0.0, 1.0, 0.0]), h=-0.25, spec=GAUSS3)
 def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
     # the attempt the adaptive driver runs (one stacked solve for Gauss and
-    # HBVM, three EQUIP steps) against the mp full step and two half-steps,
-    # each EQUIP one at the alpha it chose
-    alphas = []
-
-    def recording(*args):
-        rec = equip_step(*args)
-        alphas.append(rec.alpha)
-        return rec
-
-    with mock.patch.object(integrator, "equip_step", recording):
+    # HBVM, one per secant evaluation for EQUIP) against the mp full step and
+    # two half-steps, each EQUIP one at the alpha its block ended on
+    with stacked_evaluations() as evaluations:
         step, attempt = _stepper(spec, KEPLER, CFG)
         try:
             rec = attempt(y, h, 0.0, 0.0)
@@ -228,8 +220,9 @@ def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
                 half = step(y, h / 2, 0.0, 0.0)
                 step(half.state.y, h / 2, h / 2, half.alpha)
             reject()
-    assert len(alphas) == (3 if spec.kind == "equip" else 0)
-    a_full, a_half, a_last = alphas or (0.0, 0.0, 0.0)
+    assert len(evaluations[0]) == (rec.alpha_iters if spec.kind == "equip" else 1)
+    (a_full, a_half, a_last), _ = returned_evaluation(evaluations, rec)
+    assert rec.alpha == a_last
     full = mp_step(spec, y, h, a_full)
     halves = mp_step(spec, mp_step(spec, y, h / 2, a_half), h / 2, a_last)
     assert distance(rec.state.y, halves) <= 2 * bound(y)
