@@ -189,6 +189,9 @@ def run_adaptive_periods(method: MethodSpec, sys: HamiltonianSystem, y0,
     """
     if not isinstance(periods, (int, np.integer)):
         raise ValueError(f"periods must be an integer, got periods={periods!r}")
+    if periods < 1 or not 0.0 < period < np.inf:  # NaN fails every comparison
+        raise ValueError("periods must be >= 1 and period positive and finite, "
+                         f"got periods={periods}, period={period}")
     return integrate_adaptive(method, sys, y0, [n * period for n in range(1, periods + 1)],
                               tol, cfg)
 

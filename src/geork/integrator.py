@@ -1,21 +1,21 @@
 """Implicit Runge-Kutta engine: stage solves, EQUIP alpha tuning, drivers.
 
-The stage systems Y_i = y + h sum_j a_ij f(Y_j) are solved by fixed-point
-iteration, which preserves the tableau exactly and is contractive at the
-benchmark stepsizes.  As H = |p|^2/2 + V(q), f(Q, P) = (P, F(Q)), and each
-sweep is partitioned: P = p + hA F(Q) from the old positions, then
-Q = q + hA P from the new momenta, with one field call; on a linear problem
-that squares the plain sweep's contraction factor.  EQUIP steps wrap the
-stage solve in a scalar secant iteration that tunes the tableau parameter
-alpha until the step conserves the energy; each evaluation after a step's
-first starts from the previous one's stages, O(delta alpha) away.  When the
-secant stalls (zero or non-finite denominator, non-finite alpha) or spends
-its budget, the step takes the evaluated alpha of least energy change,
-flagged.  A step-doubling attempt solves the full step and the two
-half-steps as one stacked stage system, the halves as their composed 2n-stage
-tableau; EQUIP gives each block its own alpha and runs the three secants in
-lockstep on that one system.  A failed stage solve or a non-finite result
-raises out of any step; only the drivers change h, with context.
+Every step and step-doubling attempt, of every method, is one solve of a
+stacked stage system Y_i = y + h sum_j a_ij f(Y_j) and one field call for
+its updates.  A step is the 1-block case; an attempt is the 3-block case of
+the full step and the two half-steps (the halves as their composed 2n-stage
+tableau), with err_est = |full - last|_inf / (2^p - 1).  The solve is a
+fixed-point iteration, which preserves the tableau exactly and is
+contractive at the benchmark stepsizes.  As H = |p|^2/2 + V(q),
+f(Q, P) = (P, F(Q)), and each sweep is partitioned: P = p + hA F(Q) from the
+old positions, then Q = q + hA P from the new momenta, with one field call;
+on a linear problem that squares the plain sweep's contraction factor.
+EQUIP wraps the solve in a secant iteration per block that tunes alpha until
+the step conserves the energy, an attempt's three secants in lockstep; each
+evaluation after the first starts from the previous one's stages.  On a
+stall or a spent budget the step takes the evaluated alpha of least energy
+change, flagged.  A failed stage solve or a non-finite result raises out of
+any step; only the drivers change h, with context.
 """
 
 from __future__ import annotations
@@ -151,21 +151,65 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
     )
 
 
+def _stack(tabs) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) of one tableau's step or three tableaus' attempt, b the (k, 1, n) block weights.
+
+    An attempt's A is [[A1, 0, 0], [0, A2/2, 0], [0, 1 b^T/2, A3/2]]: two
+    half-steps are one step of [[A/2, 0], [1 b^T/2, A/2]], weights (b/2, b/2).
+    """
+    if len(tabs) == 1:
+        return tabs[0].A, tabs[0].b[None, None]
+    (A1, A2, A3), b, n = (tab.A for tab in tabs), tabs[0].b, tabs[0].n_stages
+    A = np.zeros((3 * n, 3 * n))
+    A[:n, :n], A[n:2 * n, n:2 * n], A[2 * n:, 2 * n:], A[2 * n:, n:2 * n] = A1, A2, A3, b
+    A[n:, n:] *= 0.5
+    return A, np.multiply.outer([1.0, 0.5, 0.5], b)[:, None]
+
+
 def _increment(b: np.ndarray, sys: HamiltonianSystem, h: float, Y: np.ndarray) -> np.ndarray:
-    """h sum_i b_i f(Y_i), or k of them for a (k, 1, n) b; non-finite is a Divergence."""
-    dy = h * (b @ canonical_field(sys, Y).reshape(*b.shape[:-2], b.shape[-1], -1))
+    """h sum_i b_i f(Y_i) per block of a (k, 1, n) b, as (k, dim); non-finite is a Divergence."""
+    dy = h * (b @ canonical_field(sys, Y).reshape(len(b), b.shape[-1], -1))[:, 0]
     if not np.isfinite(dy).all():
         raise Divergence(f"non-finite step result at h={h}")
     return dy
 
 
+def _evaluate(A: np.ndarray, b: np.ndarray, sys: HamiltonianSystem, y: np.ndarray, h: float,
+              cfg: SolverConfig, Y0: np.ndarray | None = None):
+    """(states, stages, iterations) of (A, b) from y, with rows (next,) or (full, half, last)."""
+    Y, iters = solve_stages(A, sys, y, h, cfg, Y0)
+    dy = _increment(b, sys, h, Y)
+    states = y + dy
+    for i in range(2, len(states)):  # an attempt's last half-step goes on from the first
+        states[i] = states[i - 1] + dy[i]
+    return states, Y, iters
+
+
+def _record(states, t: float, h: float, order: int, alpha: float, stage_iters: int,
+            alpha_iters: int = 0, flagged: bool = False) -> StepRecord:
+    """The record ending at states[-1]; an attempt's err_est is |full - last|_inf / (2^p - 1)."""
+    # without local extrapolation: the raw two-half-step value keeps the conservation character
+    err_est = None if len(states) == 1 else \
+        float(abs(states[0] - states[-1]).max()) / (2.0 ** order - 1.0)
+    return StepRecord(state=State(t=t + h, y=states[-1]), h=h, alpha=alpha,
+                      stage_iters=stage_iters, alpha_iters=alpha_iters,
+                      err_est=err_est, flagged=flagged)
+
+
+def _fixed(tab: ButcherTableau, k: int, sys: HamiltonianSystem, cfg: SolverConfig):
+    """run(y, h, t, alpha_prev=0.0): a fixed tableau's step (k = 1) or attempt (k = 3)."""
+    A, b = _stack([tab] * k)
+
+    def run(y, h, t, alpha_prev=0.0):
+        states, _, iters = _evaluate(A, b, sys, y, h, cfg)
+        return _record(states, t, h, tab.order, tab.alpha, iters)
+    return run
+
+
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, cfg: SolverConfig, t: float = 0.0) -> StepRecord:
     """One step of the tableau's method from (t, y) to (t + h, y_next)."""
-    Y, iters = solve_stages(tab.A, sys, y, h, cfg)
-    y_next = y + _increment(tab.b, sys, h, Y)
-    return StepRecord(state=State(t=t + h, y=y_next), h=h, alpha=tab.alpha,
-                      stage_iters=iters, alpha_iters=0)
+    return _fixed(tab, 1, sys, cfg)(y, h, t)
 
 
 def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> float:
@@ -182,7 +226,7 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
     """EQUIP step, or with doubling a step-doubling attempt: tune alpha so H is kept.
 
     The secant on g(alpha) = H(y_next(alpha)) - H(y) starts from alpha_prev.
-    An attempt solves _doubling's system with one alpha per block and runs
+    An attempt gives each block of its stacked system its own alpha and runs
     three secants in lockstep, on H(full) - H(y), H(half) - H(y) and
     H(last) - H(half); a block whose |g| meets the tolerance keeps its alpha
     while it does, and the attempt ends when all three meet it at once.  On a
@@ -199,38 +243,29 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
         for i, a in enumerate(alpha):  # a block's tableau is rebuilt only when its alpha moved
             if tabs[i].alpha != a:
                 tabs[i] = build_equip_tableau(s, a)
-        A, b = _doubling(tabs) if doubling else (tabs[0].A, tabs[0].b)
-        Y, iters = solve_stages(A, sys, y, h, cfg, Y)
+        states, Y, iters = _evaluate(*_stack(tabs), sys, y, h, cfg, Y)
         stage_iters += iters
         if evals == 1:
             H0 = float(sys.energy(y))
             gtol = cfg.alpha_tol * (1.0 + abs(H0))
-        if doubling:
-            states = _doubled_states(b, sys, y, h, Y)
-            H = [float(e) for e in sys.energy(np.array(states))]
-            g = [H[0] - H0, H[1] - H0, H[2] - H[1]]
-        else:
-            states = (y + _increment(b, sys, h, Y),)
-            g = [float(sys.energy(states[0])) - H0]
+        # H of (y, *states); the blocks start from y, y and the half-step
+        H = [H0, *sys.energy(states).tolist()]
+        g = [e - H[start] for e, start in zip(H[1:], (0, 0, 2))]
         # a NaN energy change counts as infinite: it meets no tolerance and is flagged
         worst = math.inf if math.isnan(sum(g)) else max(map(abs, g))
         if evals == 1 or worst < best_g:
             best_g, best_alpha, best = worst, alpha[-1], states
         if worst <= gtol:
             break
-        for i in range(k):  # the blocks not within gtol move; a stall ends the secants
-            if not abs(g[i]) <= gtol:
-                a = _secant(alpha[i], g[i], alpha_old[i], g_old[i])
-                if not math.isfinite(a):
-                    break
-                alpha_old[i], g_old[i], alpha[i] = alpha[i], g[i], a
-        else:
-            continue
-        break
-    err_est = float(abs(best[0] - best[-1]).max()) / (2.0 ** (2 * s) - 1.0) if doubling else None
-    return StepRecord(state=State(t=t + h, y=best[-1]), h=h, alpha=best_alpha,
-                      stage_iters=stage_iters, alpha_iters=evals, err_est=err_est,
-                      flagged=not best_g <= gtol)
+        # the blocks not within gtol move; a stall in any ends the secants
+        moved = {i: _secant(alpha[i], g[i], alpha_old[i], g_old[i])
+                 for i in range(k) if not abs(g[i]) <= gtol}
+        if not all(map(math.isfinite, moved.values())):
+            break
+        for i, a in moved.items():
+            alpha_old[i], g_old[i], alpha[i] = alpha[i], g[i], a
+    return _record(best, t, h, tabs[0].order, best_alpha, stage_iters, evals,
+                   flagged=not best_g <= gtol)
 
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
@@ -244,8 +279,7 @@ def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
             return equip_step(method.s, sys, y, h, cfg, alpha_prev, t, doubling=doubling)
         return step, lambda *args: step(*args, doubling=True)
     tab = build_tableau(method)
-    return (lambda y, h, t, alpha_prev: rk_step(tab, sys, y, h, cfg, t),
-            _stacked_attempt(tab, sys, cfg))
+    return _fixed(tab, 1, sys, cfg), _fixed(tab, 3, sys, cfg)
 
 
 def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
@@ -259,8 +293,8 @@ def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
 def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
                     h: float, n_steps: int, cfg: SolverConfig) -> list[StepRecord]:
     """Apply n_steps constant-h steps from t = 0; returns one record per step."""
-    if n_steps < 1 or not 0.0 < h < np.inf:  # NaN fails every comparison
-        raise ValueError("n_steps must be >= 1 and h positive and finite, "
+    if not isinstance(n_steps, Integral) or n_steps < 1 or not 0.0 < h < np.inf:  # a NaN h fails
+        raise ValueError("n_steps must be an integer >= 1 and h positive and finite, "
                          f"got n_steps={n_steps}, h={h}")
     step, _ = _stepper(method, sys, cfg)
     y = _start_state(sys, y0)
@@ -274,42 +308,6 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
     except IntegrationError as exc:
         raise type(exc)(f"{method} failed at step {k} (t={k * h:.6g}, h={h:.6g}): {exc}") from exc
     return records
-
-
-def _doubling(tabs) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) of the full step's and two half-steps' tableaus as one 3n-stage system.
-
-    Two half-steps are one step of the composed tableau [[A/2, 0], [1 b^T/2, A/2]]
-    with weights (b/2, b/2), so A = [[A1, 0, 0], [0, A2/2, 0], [0, 1 b^T/2, A3/2]]
-    and b is the (3, 1, n) weight block of the three updates.  err_est is
-    |full - last|_inf / (2^p - 1), without local extrapolation: the raw
-    two-half-step value keeps the method's conservation character.
-    """
-    (A1, A2, A3), b, n = (tab.A for tab in tabs), tabs[0].b, tabs[0].n_stages
-    A = np.zeros((3 * n, 3 * n))
-    A[:n, :n], A[n:2 * n, n:2 * n], A[2 * n:, 2 * n:], A[2 * n:, n:2 * n] = A1, A2, A3, b
-    A[n:, n:] *= 0.5
-    return A, np.multiply.outer([1.0, 0.5, 0.5], b)[:, None]
-
-
-def _doubled_states(b3: np.ndarray, sys: HamiltonianSystem, y: np.ndarray, h: float,
-                    Y: np.ndarray):
-    """(full, half, last) from the stacked stages, with one field call for the three updates."""
-    dy = _increment(b3, sys, h, Y)[:, 0]
-    half = y + dy[1]
-    return y + dy[0], half, half + dy[2]
-
-
-def _stacked_attempt(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
-    """attempt(y, h, t, alpha_prev) of a fixed tableau: one solve of _doubling([tab] * 3)."""
-    (A3, b3), p = _doubling([tab] * 3), tab.order
-
-    def attempt(y, h, t, alpha_prev):
-        Y, iters = solve_stages(A3, sys, y, h, cfg)
-        full, _, last = _doubled_states(b3, sys, y, h, Y)
-        return StepRecord(state=State(t=t + h, y=last), h=h, alpha=0.0, stage_iters=iters,
-                          alpha_iters=0, err_est=float(abs(full - last).max()) / (2.0 ** p - 1.0))
-    return attempt
 
 
 def propose_factor(err_est: float, tol: float, p: int) -> float:

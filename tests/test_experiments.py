@@ -211,6 +211,15 @@ def test_adaptive_periods_reject_a_non_integer_before_integrating(periods, no_in
         run_adaptive_periods(GAUSS3, sys, state0.y, periods, 1e-8, SolverConfig())
 
 
+@pytest.mark.parametrize("periods, period", [
+    (0, PERIOD), (-1, PERIOD), (3, 0.0), (3, -1.0), (3, math.nan), (3, math.inf)])
+def test_adaptive_periods_reject_a_bad_span_before_integrating(periods, period, no_integration):
+    # each used to be reported as a bad t_stops, an argument the caller never passed
+    sys, state0 = kepler_system(0.3)
+    with pytest.raises(ValueError, match=f"got periods={periods}, period={period}$"):
+        run_adaptive_periods(GAUSS3, sys, state0.y, periods, 1e-8, SolverConfig(), period)
+
+
 @pytest.mark.parametrize("periods", [3.5, math.nan, math.inf])
 def test_drift_study_rejects_a_non_integer_period_count_before_integrating(periods,
                                                                              no_integration):

@@ -84,29 +84,32 @@ def first_h(monkeypatch):
 def stacked_evaluations():
     """Yield (alphas, states), filled per evaluation of the stacked attempts run in the block.
 
-    integrator._doubling forms each evaluation's system from its three
-    tableaus, whose alphas are recorded, and integrator._doubled_states gives
-    its (full, half, last) states.
+    integrator._stack forms each attempt's system from its three tableaus,
+    whose alphas are recorded, and integrator._evaluate gives its
+    (full, half, last) states; one-block steps are not recorded.
     """
     alphas, states = [], []
-    doubling, doubled_states = integrator._doubling, integrator._doubled_states
+    stack, evaluate = integrator._stack, integrator._evaluate
 
-    def recording_doubling(tabs):
-        alphas.append(tuple(tab.alpha for tab in tabs))
-        return doubling(tabs)
+    def recording_stack(tabs):
+        if len(tabs) == 3:
+            alphas.append(tuple(tab.alpha for tab in tabs))
+        return stack(tabs)
 
-    def recording_states(*args):
-        states.append(doubled_states(*args))
-        return states[-1]
+    def recording_evaluate(*args):
+        result = evaluate(*args)
+        if len(result[0]) == 3:
+            states.append(result[0])
+        return result
 
-    with mock.patch.object(integrator, "_doubling", recording_doubling), \
-            mock.patch.object(integrator, "_doubled_states", recording_states):
+    with mock.patch.object(integrator, "_stack", recording_stack), \
+            mock.patch.object(integrator, "_evaluate", recording_evaluate):
         yield alphas, states
 
 
 def returned_evaluation(evaluations, rec):
     """(alphas, (full, half, last)) of the evaluation whose last state the attempt returned."""
-    return next((a, s) for a, s in zip(*evaluations) if s[2] is rec.state.y)
+    return next((a, s) for a, s in zip(*evaluations) if rec.state.y.base is s)
 
 
 def step_doubling_error(method, sys, y, h, cfg):
@@ -504,12 +507,15 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
     assert calls == {"equip_step": 1, "build_equip_tableau": len(built)}
 
 
-def test_single_step_matches_driver(cfg):
+@pytest.mark.parametrize("method", [GAUSS3, HBVM63, HBVM123], ids=str)
+def test_single_step_matches_driver(method, cfg):
+    # the driver's one-block step is rk_step, bit for bit, with no error estimate
     sys, state0 = kepler_system(0.6)
-    recs = integrate_fixed(GAUSS3, sys, state0.y, 0.1, 1, cfg)
-    direct = rk_step(build_gauss(3), sys, state0.y, 0.1, cfg)
+    recs = integrate_fixed(method, sys, state0.y, 0.1, 1, cfg)
+    direct = rk_step(build_tableau(method), sys, state0.y, 0.1, cfg)
     assert len(recs) == 1
     np.testing.assert_array_equal(recs[0].state.y, direct.state.y)
+    assert recs[0].err_est is None and direct.err_est is None
 
 
 def test_final_time_is_exact(cfg):
@@ -591,6 +597,13 @@ def test_drivers_reject_equip1_before_any_solve(cfg):
 def test_fixed_driver_rejects_bad_h_before_any_solve(h, cfg):
     with pytest.raises(ValueError, match=f"h={h}"):
         integrate_fixed(GAUSS3, untouchable_system(), np.array([1.0, 0.0]), h, 3, cfg)
+
+
+@pytest.mark.parametrize("n_steps", [0, -1, 2.5, np.nan])
+def test_fixed_driver_rejects_bad_n_steps_before_any_solve(n_steps, cfg):
+    # a non-integer count used to escape as a TypeError from range
+    with pytest.raises(ValueError, match=f"n_steps must be an integer >= 1.*n_steps={n_steps}"):
+        integrate_fixed(GAUSS3, untouchable_system(), np.array([1.0, 0.0]), 0.1, n_steps, cfg)
 
 
 def test_fixed_driver_determinism(cfg):
@@ -702,18 +715,18 @@ def test_stacked_attempt_sweeps_no_more_than_its_full_step(monkeypatch, cfg):
     # one period the 32 attempts take 254 sweeps (Gauss(3)) and 268
     # (HBVM(12,3)), where their three separate solves take 662 and 695
     attempts = []
-    stacked = integrator._stacked_attempt
+    stepper = integrator._stepper
 
-    def recording(tab, sys, cfg):
-        attempt = stacked(tab, sys, cfg)
+    def recording(method, sys, cfg):
+        step, attempt = stepper(method, sys, cfg)
 
         def recorded(y, h, t, alpha_prev):
             rec = attempt(y, h, t, alpha_prev)
             attempts.append((y, h, rec.stage_iters))
             return rec
-        return recorded
+        return step, recorded
 
-    monkeypatch.setattr(integrator, "_stacked_attempt", recording)
+    monkeypatch.setattr(integrator, "_stepper", recording)
     sys, state0 = kepler_system(0.6)
     for method in (GAUSS3, HBVM123):
         attempts.clear()
