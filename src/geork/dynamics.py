@@ -1,7 +1,7 @@
 """Hamiltonian test problems: forces, invariants, references.
 
 Every problem has H(q, p) = |p|^2/2 + V(q), so it gives only its force
--grad V, and the canonical field (p, force(q)) is built from that.  State
+-grad V; the integrator composes the canonical field (p, force(q)).  State
 layout is (q_1..q_m, p_1..p_m).  Energies take (..., 2m) arrays and forces
 (..., m) arrays, broadcasting over leading axes: a stack is one call.
 """
@@ -61,11 +61,6 @@ class HamiltonianSystem:
     energy: Callable[[np.ndarray], np.ndarray]
     force: Callable[[np.ndarray], np.ndarray]
     invariants: dict[str, Callable[[np.ndarray], np.ndarray]]
-
-    def field(self, y: np.ndarray) -> np.ndarray:
-        """The canonical vector field (dH/dp, -dH/dq) = (p, force(q))."""
-        y, m = np.asarray(y, dtype=float), self.half_dim
-        return np.concatenate([y[..., m:], self.force(y[..., :m])], axis=-1)
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         """(dH/dq, dH/dp) = (-force(q), p) (negation is exact)."""

@@ -93,8 +93,8 @@ def fit_order(samples) -> tuple[float, float]:
     """Least-squares power-law fit; returns (slope, exp(intercept))."""
     if len(samples) < 3:
         raise ValueError(f"need at least 3 samples to fit an order, got {len(samples)}")
-    if any(err <= 0 for _, err in samples):
-        raise ValueError("all errors must be positive for a log-log fit")
+    if not all(0.0 < x < math.inf for sample in samples for x in sample):  # NaN fails too
+        raise ValueError("all stepsizes and errors must be positive and finite for a log-log fit")
     log_h = np.log([h for h, _ in samples])
     log_e = np.log([err for _, err in samples])
     slope, intercept = np.polyfit(log_h, log_e, 1)

@@ -8,7 +8,7 @@ tableau), with err_est = |full - last|_inf / (2^p - 1).  The solve is a
 fixed-point iteration, which preserves the tableau exactly and is
 contractive at the benchmark stepsizes.  As H = |p|^2/2 + V(q),
 f(Q, P) = (P, F(Q)), and each sweep is partitioned: P = p + hA F(Q) from the
-old positions, then Q = q + hA P from the new momenta, with one field call;
+old positions, then Q = q + hA P from the new momenta, with one force call;
 on a linear problem that squares the plain sweep's contraction factor.
 EQUIP wraps the solve in a secant iteration per block that tunes alpha until
 the step conserves the energy, an attempt's three secants in lockstep; each
@@ -106,9 +106,9 @@ class StepRecord:
 
 
 def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
-    """sys.field(y), the integrator's one field call; a DomainError is a Divergence."""
+    """force(q) of a (..., 2m) state stack, the one problem call; DomainError is Divergence."""
     try:
-        return sys.field(y)
+        return sys.force(y[..., :sys.half_dim])
     except DomainError as exc:
         raise Divergence(f"vector field domain error: {exc}") from exc
 
@@ -138,7 +138,7 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
     base = np.concatenate([rows[:, :m] + hA @ rows[:, m:], rows[:, m:]], axis=1)
     Y = rows if Y0 is None else Y0
     for it in range(1, cfg.max_stage_iters + 1):
-        Z = base + (M @ canonical_field(sys, Y)[:, m:]).reshape(n, 2 * m)
+        Z = base + (M @ canonical_field(sys, Y)).reshape(n, 2 * m)
         res = abs(Y - Z).max()
         Y = Z
         if res <= tol:
@@ -167,8 +167,9 @@ def _stack(tabs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _increment(b: np.ndarray, sys: HamiltonianSystem, h: float, Y: np.ndarray) -> np.ndarray:
-    """h sum_i b_i f(Y_i) per block of a (k, 1, n) b, as (k, dim); non-finite is a Divergence."""
-    dy = h * (b @ canonical_field(sys, Y).reshape(len(b), b.shape[-1], -1))[:, 0]
+    """h b^T (P, force(Q)) per block of a (k, 1, n) b, as (k, dim); non-finite is a Divergence."""
+    F = np.concatenate([Y[:, sys.half_dim:], canonical_field(sys, Y)], axis=1)
+    dy = h * (b @ F.reshape(len(b), b.shape[-1], -1))[:, 0]
     if not np.isfinite(dy).all():
         raise Divergence(f"non-finite step result at h={h}")
     return dy
@@ -323,7 +324,7 @@ def initial_stepsize(sys: HamiltonianSystem, y0: np.ndarray) -> float:
     Deliberately generous: an overestimate costs a few rejected steps, while
     an underestimate pollutes the accepted-step statistics with warm-up dust.
     """
-    f0 = canonical_field(sys, y0)
+    f0 = np.concatenate([y0[sys.half_dim:], canonical_field(sys, y0)])  # (p, force(q))
     return float(np.fmax(0.1 * (1.0 + abs(y0).max()) / (1.0 + abs(f0).max()), H_MIN))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -79,13 +80,15 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        if self.s < 1:
-            raise ValueError(f"s must be positive, got {self.s}")
+        if not isinstance(self.s, Integral) or self.s < 1:
+            raise ValueError(f"s must be an integer >= 1, got {self.s!r}")
         if self.kind == "equip" and self.s < 2:  # no outermost pair for alpha to tune
             raise ValueError("equip:s=1 has no alpha to tune; use gauss:s=1")
         if self.kind == "hbvm":
             if self.k is None:
                 raise ValueError("hbvm requires k")
+            if not isinstance(self.k, Integral):
+                raise ValueError(f"k must be an integer, got {self.k!r}")
             if self.k < self.s:
                 raise ValueError(f"hbvm requires k >= s, got k={self.k}, s={self.s}")
         elif self.k is not None:

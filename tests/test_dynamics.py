@@ -23,18 +23,23 @@ def fd_gradient(energy, y, step=1e-5):
     return g
 
 
+def full_field(sys, Y):
+    """The canonical field (P, force(Q)) of a state stack, the force from canonical_field."""
+    return np.concatenate([Y[..., sys.half_dim:], canonical_field(sys, Y)], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # canonical field
 
 
 def test_canonical_field_harmonic(harmonic):
     sys, _ = harmonic
-    np.testing.assert_allclose(canonical_field(sys, np.array([1.0, 0.0])), [0.0, -1.0])
+    np.testing.assert_allclose(full_field(sys, np.array([1.0, 0.0])), [0.0, -1.0])
 
 
 def test_canonical_field_kepler_circular():
     sys, _ = kepler_system(0.0)
-    f = canonical_field(sys, np.array([1.0, 0.0, 0.0, 1.0]))
+    f = full_field(sys, np.array([1.0, 0.0, 0.0, 1.0]))
     np.testing.assert_allclose(f, [0.0, 1.0, -1.0, 0.0], atol=1e-15)
 
 
@@ -62,9 +67,9 @@ def problem_stacks(draw):
 def test_field_properties(problem):
     sys, Y, grad = problem
     m = sys.half_dim
-    F = sys.field(Y)
+    F = full_field(sys, Y)
     # a stack evaluates exactly as its rows do one at a time
-    assert F.tobytes() == np.stack([sys.field(y) for y in Y]).tobytes()
+    assert F.tobytes() == np.stack([full_field(sys, y) for y in Y]).tobytes()
     # gradient() reads (dH/dq, dH/dp) off the field: (q r^-3, p) and (q^3, p)
     assert sys.gradient(Y).tobytes() == grad.tobytes()
     # the field is (dH/dp, -dH/dq) of the energy, by central differences
@@ -82,7 +87,9 @@ def test_field_is_the_momenta_then_the_force(problem, harmonic):
     # positions in [0.5, 2] keep Kepler inside its domain
     Y = np.random.default_rng(5).uniform(0.5, 2.0, size=(6, 2 * m))
     for stack in (Y, Y[0], Y.reshape(2, 3, 2 * m)):
-        F, force = sys.field(stack), sys.force(stack[..., :m])
+        F, force = full_field(sys, stack), sys.force(stack[..., :m])
+        # the integrator's one problem call is the force alone
+        assert canonical_field(sys, stack).tobytes() == force.tobytes()
         # bit for bit, so -0.0 and 0.0 differ
         assert F.shape == stack.shape and force.shape == stack[..., m:].shape
         assert F[..., :m].tobytes() == stack[..., m:].tobytes()
@@ -102,7 +109,7 @@ def test_field_is_orthogonal_to_gradient(make):
         if sys.name == "kepler" and np.linalg.norm(y[:2]) < 0.1:
             continue
         g = sys.gradient(y)
-        f = canonical_field(sys, y)
+        f = full_field(sys, y)
         assert abs(float(g @ f)) <= 1e-12 * float(np.abs(g) @ np.abs(f) + 1e-30)
         count += 1
 
@@ -154,7 +161,7 @@ def test_kepler_gradient_guards_collision():
     sys, _ = kepler_system(0.6)
     healthy = [1.0, 0.0, 0.0, 1.0]
     for bad in ([1e-9, 0.0, 0.0, 1.0], [0.7e-8, 0.7e-8, 0.0, 1.0], [np.nan, 0.0, 0.0, 1.0]):
-        for evaluate in (sys.field, sys.gradient, lambda y: sys.force(y[..., :2])):
+        for evaluate in (sys.gradient, lambda y: sys.force(y[..., :2])):
             with pytest.raises(DomainError):
                 evaluate(np.array(bad))
             # one bad row in a stack of stage vectors is enough, wherever it sits
@@ -224,7 +231,7 @@ def test_reference_satisfies_equations_of_motion():
     for t in (0.3, 2.0, 4.5):
         y = kepler_reference(0.6, t)
         dy = (kepler_reference(0.6, t + dt) - kepler_reference(0.6, t - dt)) / (2 * dt)
-        np.testing.assert_allclose(dy, canonical_field(sys, y), atol=1e-7)
+        np.testing.assert_allclose(dy, full_field(sys, y), atol=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,11 +50,20 @@ def test_fit_order_with_prefactor():
     assert constant == pytest.approx(3.0, rel=1e-9)
 
 
-def test_fit_order_rejects_bad_input():
+def test_fit_order_rejects_bad_input(capfd):
     with pytest.raises(ValueError):
         fit_order([(0.1, 1e-3), (0.05, 1e-4)])
     with pytest.raises(ValueError):
         fit_order([(0.1, 1e-3), (0.05, 0.0), (0.025, 1e-5)])
+    # a non-positive or non-finite stepsize or error is rejected before any log
+    # or fit, so it neither returns NaN nor warns nor reaches LAPACK
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -0.05):
+        for sample in ((0.05, bad), (bad, 1e-4)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="positive and finite"):
+                    fit_order([(0.1, 1e-3), sample, (0.025, 1e-5)])
+    assert capfd.readouterr().err == ""
 
 
 def test_floor_exclusion_recovers_slope():

@@ -20,7 +20,6 @@ from geork.integrator import (
     NonConvergence,
     SolverConfig,
     _stepper,
-    canonical_field,
     equip_step,
     initial_stepsize,
     integrate_adaptive,
@@ -30,6 +29,7 @@ from geork.integrator import (
     solve_stages,
 )
 from geork.tableau import MethodSpec, build_equip_tableau, build_gauss, build_hbvm, build_tableau
+from test_dynamics import full_field
 
 T = 2 * np.pi
 
@@ -40,7 +40,7 @@ EQUIP3 = MethodSpec("equip", 3)
 
 
 def stage_residual(tab, sys, y, h, Y):
-    F = canonical_field(sys, Y)
+    F = full_field(sys, Y)
     return float(np.max(np.abs(Y - (y + h * tab.A @ F))))
 
 
@@ -276,7 +276,7 @@ def test_step_consistency_small_h(harmonic, cfg):
     sys, state0 = harmonic
     h = 1e-5
     rec = rk_step(build_gauss(2), sys, state0.y, h, cfg)
-    f0 = canonical_field(sys, state0.y)
+    f0 = full_field(sys, state0.y)
     assert np.linalg.norm(rec.state.y - state0.y) <= h * np.linalg.norm(f0) * (1 + 1e-10)
 
 
@@ -437,7 +437,7 @@ def test_equip_failed_stage_solve_or_non_finite_update_raises(cfg):
 
 def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg):
     # the benchmark's tracer counts field evaluations by wrapping this name;
-    # a step that called sys.field directly would hide them from it
+    # a step that called sys.force directly would hide them from it
     calls = []
     field = integrator.canonical_field
 

@@ -75,7 +75,11 @@ def compare_series(ref, new, slopes: bool):
                                 f"{ROUNDOFF_GROWTH:g} x {want:.3e}")
         if slopes and all(want > TRUNCATION for _, want in r):
             for label, part in (("chord", slice(None)), ("small-h", slice(-3, None))):
-                want, got = fit_order(r[part])[0], fit_order(n[part])[0]
+                try:
+                    want, got = fit_order(r[part])[0], fit_order(n[part])[0]
+                except ValueError as exc:  # a NaN, inf or non-positive error has no slope
+                    failures.append(f"{name}: {label} slope: {exc}")
+                    continue
                 if not abs(got - want) <= SLOPE_TOL:
                     failures.append(f"{name}: {label} slope {got:.4f} vs {want:.4f}")
     return failures, worst

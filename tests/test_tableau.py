@@ -363,6 +363,14 @@ def test_method_spec_validation():
         MethodSpec(kind="radau", s=3)
     with pytest.raises(ValueError):
         MethodSpec(kind="gauss", s=0)
+    # s and k count stages: a float, NaN or string is rejected here, not in gauss_rule
+    for s in (2.5, 3.0, np.nan, "3"):
+        with pytest.raises(ValueError, match="^s must be an integer >= 1, got "):
+            MethodSpec(kind="gauss", s=s)
+    for k in (6.0, 6.5, np.nan, "6"):
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            MethodSpec(kind="hbvm", s=3, k=k)
+    assert MethodSpec(kind="hbvm", s=np.int64(3), k=np.int64(6)).n_stages == 6
     # EQUIP(1) has no alpha to tune: it is Gauss(1)
     with pytest.raises(ValueError, match="equip:s=1 has no alpha to tune; use gauss:s=1"):
         MethodSpec(kind="equip", s=1)
