@@ -2,9 +2,10 @@
 
 Every step and step-doubling attempt, of every method, is one solve of a
 stacked stage system Y_i = y + h sum_j a_ij f(Y_j) and one field call for
-its updates.  A step is the 1-block case; an attempt is the 3-block case of
-the full step and the two half-steps (the halves as their composed 2n-stage
-tableau), with err_est = |full - last|_inf / (2^p - 1).  The solve is a
+its updates.  Consecutive steps are one step of their composed tableau, so
+a step is the 1-block case, a fixed Gauss/HBVM run solves _WINDOW steps at
+a time, and an attempt is the 3-block case of the full step and the two
+half-steps, with err_est = |full - last|_inf / (2^p - 1).  The solve is a
 fixed-point iteration, which preserves the tableau exactly and is
 contractive at the benchmark stepsizes.  As H = |p|^2/2 + V(q),
 f(Q, P) = (P, F(Q)), and each sweep is partitioned: P = p + hA F(Q) from the
@@ -12,10 +13,12 @@ old positions, then Q = q + hA P from the new momenta, with one force call;
 on a linear problem that squares the plain sweep's contraction factor.
 EQUIP wraps the solve in a secant iteration per block that tunes alpha until
 the step conserves the energy, an attempt's three secants in lockstep; each
-evaluation after the first starts from the previous one's stages.  On a
-stall or a spent budget the step takes the evaluated alpha of least energy
-change, flagged.  A failed stage solve or a non-finite result raises out of
-any step; only the drivers change h, with context.
+evaluation after the first starts from the previous one's stages, and one
+that fails backs off towards the best evaluation.  On a stall or a spent
+budget the step takes the evaluated alpha of least energy change, flagged.
+Otherwise a failed stage solve or a non-finite result raises out of any step
+or window; a failed window runs again step by step, and only the drivers
+change h, with context.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
 H_MIN = 1e-8
 _DIVERGENCE_LIMIT = 1e8
 _SECANT_PROBE = 1e-4
+_WINDOW = 8  # fixed Gauss/HBVM steps per stacked solve
 
 
 class IntegrationError(RuntimeError):
@@ -94,6 +98,8 @@ class StepRecord:
     ``flagged`` marks EQUIP steps whose secant stopped short of energy
     conservation; ``err_est`` is set in adaptive mode only.  An EQUIP attempt's
     alpha is its last half-step's, and alpha_iters counts its stacked evaluations.
+    A step solved in a window of fixed steps has the window's sweep count as
+    its stage_iters.
     """
 
     state: State
@@ -137,33 +143,52 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
     rows = np.repeat(y[None], n, axis=0)
     base = np.concatenate([rows[:, :m] + hA @ rows[:, m:], rows[:, m:]], axis=1)
     Y = rows if Y0 is None else Y0
-    for it in range(1, cfg.max_stage_iters + 1):
-        Z = base + (M @ canonical_field(sys, Y)).reshape(n, 2 * m)
-        res = abs(Y - Z).max()
-        Y = Z
-        if res <= tol:
-            return Y, it
-        # NaN fails the comparison, so a NaN or inf iterate is a blow-up too
-        if not (res <= _DIVERGENCE_LIMIT):
-            raise Divergence(f"stage iterates diverged at h={h}")
-    raise NonConvergence(
-        f"stage residual {res:.3e} > {tol:.3e} after {cfg.max_stage_iters} iterations (h={h})"
-    )
+    try:
+        for it in range(1, cfg.max_stage_iters + 1):
+            Z = base + (M @ canonical_field(sys, Y)).reshape(n, 2 * m)
+            res = abs(Y - Z).max()
+            Y = Z
+            if res <= tol:
+                return Y, it
+            # NaN fails the comparison, so a NaN or inf iterate is a blow-up too
+            if not (res <= _DIVERGENCE_LIMIT):
+                raise Divergence(f"stage iterates diverged at h={h}")
+        raise NonConvergence(
+            f"stage residual {res:.3e} > {tol:.3e} after {cfg.max_stage_iters} iterations (h={h})"
+        )
+    except IntegrationError as exc:
+        exc.sweeps = it  # for a caller that goes on and counts its work
+        raise
 
 
-def _stack(tabs) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) of one tableau's step or three tableaus' attempt, b the (k, 1, n) block weights.
+def _stack(chains) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(A, b, links) of chains of consecutive steps as one stacked system.
 
-    An attempt's A is [[A1, 0, 0], [0, A2/2, 0], [0, 1 b^T/2, A3/2]]: two
-    half-steps are one step of [[A/2, 0], [1 b^T/2, A/2]], weights (b/2, b/2).
+    chains holds (tableaus, c) pairs, a step of c h per tableau.  Step i of a
+    chain starts from the chain's start plus the increments of the steps
+    before it, so its block row is c [1 b^T, ..., 1 b^T, A_i, 0, ...] and its
+    weights are c b; b comes back as the (steps, 1, n) block weights, and
+    links lists the steps that go on from the step before.  A step is
+    [([tab], 1)], a window of W fixed steps [([tab] * W, 1)], and an attempt
+    the full step and the two half-steps, [([tab], 1), ([tab, tab], 1/2)].
     """
-    if len(tabs) == 1:
-        return tabs[0].A, tabs[0].b[None, None]
-    (A1, A2, A3), b, n = (tab.A for tab in tabs), tabs[0].b, tabs[0].n_stages
-    A = np.zeros((3 * n, 3 * n))
-    A[:n, :n], A[n:2 * n, n:2 * n], A[2 * n:, 2 * n:], A[2 * n:, n:2 * n] = A1, A2, A3, b
-    A[n:, n:] *= 0.5
-    return A, np.multiply.outer([1.0, 0.5, 0.5], b)[:, None]
+    steps = [tab for tabs, _ in chains for tab in tabs]
+    b, k = steps[0].b, len(steps)
+    if k == 1:  # one step is its own tableau
+        return steps[0].A, b[None, None], []
+    n = len(b)
+    # A[i, :, j] is block (i, j)
+    A, scale, links, first = np.zeros((k, n, k, n)), [], [], 0
+    for tabs, c in chains:
+        for i, tab in enumerate(tabs, first):
+            A[i, :, first:i] = b
+            A[i, :, i] = tab.A
+        if c != 1.0:
+            A[first:first + len(tabs)] *= c
+        scale += [c] * len(tabs)
+        links += range(first + 1, first + len(tabs))
+        first += len(tabs)
+    return A.reshape(k * n, k * n), np.multiply.outer(scale, b)[:, None], links
 
 
 def _increment(b: np.ndarray, sys: HamiltonianSystem, h: float, Y: np.ndarray) -> np.ndarray:
@@ -175,13 +200,20 @@ def _increment(b: np.ndarray, sys: HamiltonianSystem, h: float, Y: np.ndarray) -
     return dy
 
 
-def _evaluate(A: np.ndarray, b: np.ndarray, sys: HamiltonianSystem, y: np.ndarray, h: float,
-              cfg: SolverConfig, Y0: np.ndarray | None = None):
-    """(states, stages, iterations) of (A, b) from y, with rows (next,) or (full, half, last)."""
+def _evaluate(A: np.ndarray, b: np.ndarray, links, sys: HamiltonianSystem, y: np.ndarray,
+              h: float, cfg: SolverConfig, Y0: np.ndarray | None = None):
+    """(states, stages, iterations) of _stack's (A, b, links) from y, one state per step.
+
+    A failure carries the stage sweeps it spent as its ``sweeps``.
+    """
     Y, iters = solve_stages(A, sys, y, h, cfg, Y0)
-    dy = _increment(b, sys, h, Y)
+    try:
+        dy = _increment(b, sys, h, Y)
+    except Divergence as exc:
+        exc.sweeps = iters
+        raise
     states = y + dy
-    for i in range(2, len(states)):  # an attempt's last half-step goes on from the first
+    for i in links:  # as rk_step adds them, a step goes on from the state before
         states[i] = states[i - 1] + dy[i]
     return states, Y, iters
 
@@ -197,20 +229,37 @@ def _record(states, t: float, h: float, order: int, alpha: float, stage_iters: i
                       err_est=err_est, flagged=flagged)
 
 
-def _fixed(tab: ButcherTableau, k: int, sys: HamiltonianSystem, cfg: SolverConfig):
-    """run(y, h, t, alpha_prev=0.0): a fixed tableau's step (k = 1) or attempt (k = 3)."""
-    A, b = _stack([tab] * k)
+def _fixed(tab: ButcherTableau, chains, sys: HamiltonianSystem, cfg: SolverConfig):
+    """run(y, h, t, alpha_prev=0.0): a fixed tableau's step or attempt, as _stack(chains)."""
+    A, b, links = _stack(chains)
 
     def run(y, h, t, alpha_prev=0.0):
-        states, _, iters = _evaluate(A, b, sys, y, h, cfg)
+        states, _, iters = _evaluate(A, b, links, sys, y, h, cfg)
         return _record(states, t, h, tab.order, tab.alpha, iters)
+    return run
+
+
+def _window(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
+    """run(y, h, ts): the records of len(ts) fixed steps from the times ts, as one solve.
+
+    Every record carries the window's sweep count.  A window length's stacked
+    system is built on its first use and kept for the run.
+    """
+    systems = {}
+
+    def run(y, h, ts):
+        if len(ts) not in systems:
+            systems[len(ts)] = _stack([([tab] * len(ts), 1.0)])
+        states, _, iters = _evaluate(*systems[len(ts)], sys, y, h, cfg)
+        return [_record(states[i:i + 1], t, h, tab.order, tab.alpha, iters)
+                for i, t in enumerate(ts)]
     return run
 
 
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, cfg: SolverConfig, t: float = 0.0) -> StepRecord:
     """One step of the tableau's method from (t, y) to (t + h, y_next)."""
-    return _fixed(tab, 1, sys, cfg)(y, h, t)
+    return _fixed(tab, [([tab], 1.0)], sys, cfg)(y, h, t)
 
 
 def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> float:
@@ -230,11 +279,14 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
     An attempt gives each block of its stacked system its own alpha and runs
     three secants in lockstep, on H(full) - H(y), H(half) - H(y) and
     H(last) - H(half); a block whose |g| meets the tolerance keeps its alpha
-    while it does, and the attempt ends when all three meet it at once.  On a
-    stall or a spent budget the evaluation of least largest |g| is returned,
-    flagged, counting all the work spent.  H(y) is taken after the first
-    stage solve succeeds, which has evaluated the field at y, so a y outside
-    the field's domain fails as a Divergence before any energy evaluation.
+    while it does, and the attempt ends when all three meet it at once.  When
+    an evaluation after the first fails its stage solve or update, each alpha
+    backs off halfway to the best evaluation's, from that evaluation's stages.
+    On a stall or a spent budget the evaluation of least largest |g| is
+    returned, flagged, counting all the work spent, failed sweeps included.
+    H(y) is taken after the first stage solve succeeds, which has evaluated
+    the field at y, so a y outside the field's domain fails as a Divergence
+    before any energy evaluation; a failed first evaluation raises.
     """
     k = 3 if doubling else 1
     tabs = [build_equip_tableau(s, alpha_prev)] * k
@@ -244,7 +296,17 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
         for i, a in enumerate(alpha):  # a block's tableau is rebuilt only when its alpha moved
             if tabs[i].alpha != a:
                 tabs[i] = build_equip_tableau(s, a)
-        states, Y, iters = _evaluate(*_stack(tabs), sys, y, h, cfg, Y)
+        try:  # a step has no half-steps' chain
+            states, Y, iters = _evaluate(*_stack([(tabs[:1], 1.0), (tabs[1:], 0.5)]),
+                                         sys, y, h, cfg, Y)
+        except (NonConvergence, Divergence) as exc:
+            if evals == 1:
+                raise
+            stage_iters += exc.sweeps
+            for i in moved:
+                alpha[i] = (alpha[i] + best_alpha[i]) / 2
+            Y = best_Y
+            continue
         stage_iters += iters
         if evals == 1:
             H0 = float(sys.energy(y))
@@ -255,7 +317,7 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
         # a NaN energy change counts as infinite: it meets no tolerance and is flagged
         worst = math.inf if math.isnan(sum(g)) else max(map(abs, g))
         if evals == 1 or worst < best_g:
-            best_g, best_alpha, best = worst, alpha[-1], states
+            best_g, best_alpha, best, best_Y = worst, list(alpha), states, Y
         if worst <= gtol:
             break
         # the blocks not within gtol move; a stall in any ends the secants
@@ -265,22 +327,26 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
             break
         for i, a in moved.items():
             alpha_old[i], g_old[i], alpha[i] = alpha[i], g[i], a
-    return _record(best, t, h, tabs[0].order, best_alpha, stage_iters, evals,
+    return _record(best, t, h, tabs[0].order, best_alpha[-1], stage_iters, evals,
                    flagged=not best_g <= gtol)
 
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
-    """step and attempt(y, h, t, alpha_prev) -> StepRecord; the one place method.kind is read.
+    """(step, attempt, window); the one place method.kind is read.
 
-    An attempt is one step-doubling attempt, with err_est.  EQUIP tunes its
-    alphas in equip_step; Gauss and HBVM build their tableau once here.
+    step and attempt(y, h, t, alpha_prev) -> StepRecord, an attempt being one
+    step-doubling attempt, with err_est.  window(y, h, ts) gives the records
+    of len(ts) consecutive fixed steps from one stacked solve; it is None for
+    EQUIP, whose steps each tune their own alpha in equip_step.  Gauss and
+    HBVM build their tableau once here.
     """
     if method.kind == "equip":
         def step(y, h, t, alpha_prev, doubling=False):
             return equip_step(method.s, sys, y, h, cfg, alpha_prev, t, doubling=doubling)
-        return step, lambda *args: step(*args, doubling=True)
+        return step, lambda *args: step(*args, doubling=True), None
     tab = build_tableau(method)
-    return _fixed(tab, 1, sys, cfg), _fixed(tab, 3, sys, cfg)
+    return (_fixed(tab, [([tab], 1.0)], sys, cfg),
+            _fixed(tab, [([tab], 1.0), ([tab, tab], 0.5)], sys, cfg), _window(tab, sys, cfg))
 
 
 def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
@@ -293,17 +359,26 @@ def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
 
 def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
                     h: float, n_steps: int, cfg: SolverConfig) -> list[StepRecord]:
-    """Apply n_steps constant-h steps from t = 0; returns one record per step."""
+    """Apply n_steps constant-h steps from t = 0; returns one record per step.
+
+    Gauss and HBVM steps run _WINDOW at a time as one stacked solve, and the
+    last window holds the steps left over.  A window that fails is run again
+    one step at a time, so a failure names the step that fails alone.
+    """
     if not isinstance(n_steps, Integral) or n_steps < 1 or not 0.0 < h < np.inf:  # a NaN h fails
         raise ValueError("n_steps must be an integer >= 1 and h positive and finite, "
                          f"got n_steps={n_steps}, h={h}")
-    step, _ = _stepper(method, sys, cfg)
+    step, _, window = _stepper(method, sys, cfg)
     y = _start_state(sys, y0)
-    alpha_prev = 0.0
-    records = []
+    alpha_prev, records, batch = 0.0, [], None
     try:
         for k in range(n_steps):
-            rec = step(y, h, k * h, alpha_prev)
+            if window and k % _WINDOW == 0:
+                try:
+                    batch = window(y, h, [j * h for j in range(k, min(k + _WINDOW, n_steps))])
+                except (NonConvergence, Divergence):
+                    batch = None  # its steps run again one at a time
+            rec = batch[k % _WINDOW] if batch else step(y, h, k * h, alpha_prev)
             records.append(rec)
             y, alpha_prev = rec.state.y, rec.alpha
     except IntegrationError as exc:
@@ -344,7 +419,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     # NaN fails every comparison, and a finite last stop bounds the others
     if not (stops and all(a < b for a, b in zip([0.0, *stops], stops)) and stops[-1] < np.inf):
         raise ValueError(f"t_stops must be finite and increase from above 0, got {t_stops}")
-    _, attempt = _stepper(method, sys, cfg)
+    _, attempt, _ = _stepper(method, sys, cfg)
     y = _start_state(sys, y0)
     t, alpha_prev, stop = 0.0, 0.0, stops[0]
     runs: list[list[StepRecord]] = []

@@ -208,7 +208,7 @@ def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
     # HBVM, one per secant evaluation for EQUIP) against the mp full step and
     # two half-steps, each EQUIP one at the alpha its block ended on
     with stacked_evaluations() as evaluations:
-        step, attempt = _stepper(spec, KEPLER, CFG)
+        step, attempt, _ = _stepper(spec, KEPLER, CFG)
         try:
             rec = attempt(y, h, 0.0, 0.0)
         except (NonConvergence, Divergence):
