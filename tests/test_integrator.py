@@ -440,13 +440,18 @@ def test_equip_failed_stage_solve_or_non_finite_update_raises(cfg):
 
 
 def equip_backing_off(y, h, doubling=False):
-    """An EQUIP step or attempt on Kepler e = 0.6 from y, and the sweeps of its stage solves.
+    """An EQUIP step or attempt on Kepler e = 0.6 from y, its solves' sweeps and built alphas.
 
     The sweeps are (iterations, failed) per solve, failed ones counted as
-    the sweeps they spent.
+    the sweeps they spent; the alphas are those of the tableaus built.
     """
     sys, _ = kepler_system(0.6)
     sweeps, solve = [], integrator.solve_stages
+    built, build = [], integrator.build_equip_tableau
+
+    def recorded(s, alpha):
+        built.append(alpha)
+        return build(s, alpha)
 
     def counted(*args):
         try:
@@ -457,9 +462,10 @@ def equip_backing_off(y, h, doubling=False):
         sweeps.append((iters, False))
         return Y, iters
 
-    with mock.patch.object(integrator, "solve_stages", counted):
+    with mock.patch.object(integrator, "solve_stages", counted), \
+            mock.patch.object(integrator, "build_equip_tableau", recorded):
         rec = equip_step(3, sys, np.array(y, dtype=float), h, SolverConfig(), doubling=doubling)
-    return sys, rec, sweeps
+    return sys, rec, sweeps, built
 
 
 @pytest.mark.parametrize("y, h, doubling", [
@@ -473,8 +479,15 @@ def test_equip_backs_off_from_a_failed_evaluation(y, h, doubling):
     # stage solve, which used to raise out of the step; each alpha that moved
     # goes halfway back to the best evaluation's, which ends the step
     # flagged or converged, and the failed sweeps count in stage_iters
-    sys, rec, sweeps = equip_backing_off(y, h, doubling)
+    sys, rec, sweeps, built = equip_backing_off(y, h, doubling)
     assert any(failed for _, failed in sweeps) and not sweeps[0][1]
+    if not doubling:
+        # a step builds one tableau per evaluation, and the one after a
+        # failure is at the midpoint of the failed alpha and an evaluated one
+        assert len(built) == len(sweeps)
+        for i, (_, failed) in enumerate(sweeps[:-1]):
+            evaluated = [a for a, (_, f) in zip(built[:i], sweeps) if not f]
+            assert not failed or any(built[i + 1] == (built[i] + a) / 2 for a in evaluated)
     assert rec.stage_iters == sum(iters for iters, _ in sweeps)
     assert rec.alpha_iters == len(sweeps) <= SolverConfig().max_alpha_iters
     assert np.isfinite(rec.state.y).all() and rec.state.t == h
@@ -487,8 +500,8 @@ def test_equip_back_off_makes_mirror_states_alike():
     # 0.5 sin(pi) = 6e-17 in q2: the mirror's secant failed an evaluation and
     # raised, where the step from y ended flagged; backing off, both end
     # flagged at mirrored states (measured 2e-8 apart)
-    _, rec, sweeps = equip_backing_off([0.5, 0.0, 0.0, 1.0], 0.125)
-    _, mirror, mirror_sweeps = equip_backing_off(
+    _, rec, sweeps, _ = equip_backing_off([0.5, 0.0, 0.0, 1.0], 0.125)
+    _, mirror, mirror_sweeps, _ = equip_backing_off(
         [0.5 * np.cos(np.pi), 0.5 * np.sin(np.pi), 0.0, 1.0], 0.125)
     assert not any(failed for _, failed in sweeps)
     assert any(failed for _, failed in mirror_sweeps)
@@ -628,15 +641,15 @@ def test_hbvm_conserves_polynomial_energy(s, extra, h):
 
 
 def rk_step_loop(tab, sys, y, h, n_steps, cfg):
-    """The states of n_steps plain rk_steps from y, or (the step that raised, its type)."""
+    """(states, failure) of n_steps plain rk_steps from y; failure is (step, type) or None."""
     states = []
     for k in range(n_steps):
         try:
             y = rk_step(tab, sys, y, h, cfg, k * h).state.y
         except (NonConvergence, Divergence) as exc:
-            return k, type(exc)
+            return states, (k, type(exc))
         states.append(y)
-    return states
+    return states, None
 
 
 @settings(deadline=None, max_examples=60)
@@ -660,7 +673,7 @@ def test_windowed_fixed_steps_match_cold_rk_steps(problem, e, method, c, n_steps
     try:
         recs = integrate_fixed(method, sys, state0.y, h, n_steps, cfg)
     except (NonConvergence, Divergence) as exc:
-        k, error = rk_step_loop(tab, sys, state0.y, h, n_steps, cfg)
+        _, (k, error) = rk_step_loop(tab, sys, state0.y, h, n_steps, cfg)
         assert type(exc) is error
         assert str(exc).startswith(f"{method} failed at step {k} (")
         return
@@ -690,7 +703,7 @@ def test_failed_window_runs_its_steps_one_at_a_time(cfg):
     trapped = dataclasses.replace(sys, force=force)
     recs = integrate_fixed(HBVM63, trapped, state0.y, h, W + 2, cfg)
     assert next(calls) > update
-    states = rk_step_loop(build_tableau(HBVM63), sys, state0.y, h, W, cfg)
+    states, _ = rk_step_loop(build_tableau(HBVM63), sys, state0.y, h, W, cfg)
     for rec, y in zip(recs, states):
         np.testing.assert_array_equal(rec.state.y, y)
     tail = integrate_fixed(HBVM63, sys, states[-1], h, 2, cfg)
