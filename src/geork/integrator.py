@@ -181,7 +181,8 @@ def _stack(chains) -> tuple[np.ndarray, np.ndarray, list[int]]:
     A, scale, links, first = np.zeros((k, n, k, n)), [], [], 0
     for tabs, c in chains:
         for i, tab in enumerate(tabs, first):
-            A[i, :, first:i] = b
+            if i > first:  # an empty assignment is still a NumPy call
+                A[i, :, first:i] = b
             A[i, :, i] = tab.A
         if c != 1.0:
             A[first:first + len(tabs)] *= c
