@@ -476,9 +476,9 @@ def equip_backing_off(y, h, doubling=False):
 ])
 def test_equip_backs_off_from_a_failed_evaluation(y, h, doubling):
     # from each of these states a secant evaluation after the first fails its
-    # stage solve, which used to raise out of the step; each alpha that moved
-    # goes halfway back to the best evaluation's, which ends the step
-    # flagged or converged, and the failed sweeps count in stage_iters
+    # stage solve; each alpha that moved goes halfway back to the best
+    # evaluation's, the step ends flagged or converged instead of raising, and
+    # the failed sweeps count in stage_iters
     sys, rec, sweeps, built = equip_backing_off(y, h, doubling)
     assert any(failed for _, failed in sweeps) and not sweeps[0][1]
     if not doubling:
@@ -497,9 +497,9 @@ def test_equip_backs_off_from_a_failed_evaluation(y, h, doubling):
 
 def test_equip_back_off_makes_mirror_states_alike():
     # y = (0.5, 0, 0, 1) and its mirror image in the q2 axis, which is off by
-    # 0.5 sin(pi) = 6e-17 in q2: the mirror's secant failed an evaluation and
-    # raised, where the step from y ended flagged; backing off, both end
-    # flagged at mirrored states (measured 2e-8 apart)
+    # 0.5 sin(pi) = 6e-17 in q2: only the mirror's secant fails an evaluation,
+    # and after backing off both end flagged at mirrored states (measured
+    # 2e-8 apart)
     _, rec, sweeps, _ = equip_backing_off([0.5, 0.0, 0.0, 1.0], 0.125)
     _, mirror, mirror_sweeps, _ = equip_backing_off(
         [0.5 * np.cos(np.pi), 0.5 * np.sin(np.pi), 0.0, 1.0], 0.125)
@@ -989,9 +989,7 @@ def test_drift_campaign_stacked_attempts_keep_every_step_for_fewer_sweeps(drift_
     # 77,849 stage iterations and 16,565 evaluations).  Near periapsis six
     # attempts fail an evaluation's stage solve and back off; two of them end
     # flagged on their half-steps' energy, while their whole step changes H by
-    # 7e-15 and 1.4e-14 (three such attempts raised before there was a back-off,
-    # and the controller halved h: 1323 steps, 34,001 iterations, 6560
-    # evaluations, none flagged)
+    # 7e-15 and 1.4e-14
     _, _, data = drift_campaign
 
     def totals(method):
