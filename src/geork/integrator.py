@@ -17,8 +17,8 @@ evaluation after the first starts from the previous one's stages, and one
 that fails backs off towards the best evaluation.  On a stall or a spent
 budget the step takes the evaluated alpha of least energy change, flagged.
 Otherwise a failed stage solve or a non-finite result raises out of any step
-or window; a failed window runs again step by step, and only the drivers
-change h, with context.
+or window.  After a failed window the run goes on step by step; only the
+adaptive driver changes h, with context, also after an attempt backed off.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class StepRecord:
     """One accepted step; alpha is 0 for non-EQUIP methods.
 
     ``flagged`` marks EQUIP steps whose secant stopped short of energy
-    conservation; ``err_est`` is set in adaptive mode only.  An EQUIP attempt's
+    conservation, and ``backed_off`` those whose secant backed off a failed
+    evaluation; ``err_est`` is set in adaptive mode only.  An EQUIP attempt's
     alpha is its last half-step's, and alpha_iters counts its stacked evaluations.
     A step solved in a window of fixed steps has the window's sweep count as
     its stage_iters.
@@ -109,6 +110,7 @@ class StepRecord:
     alpha_iters: int
     err_est: float | None = None
     flagged: bool = False
+    backed_off: bool = False
 
 
 def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
@@ -220,31 +222,21 @@ def _evaluate(A: np.ndarray, b: np.ndarray, links, sys: HamiltonianSystem, y: np
 
 
 def _record(states, t: float, h: float, order: int, alpha: float, stage_iters: int,
-            alpha_iters: int = 0, flagged: bool = False) -> StepRecord:
+            alpha_iters: int = 0, flagged: bool = False, backed_off: bool = False) -> StepRecord:
     """The record ending at states[-1]; an attempt's err_est is |full - last|_inf / (2^p - 1)."""
     # without local extrapolation: the raw two-half-step value keeps the conservation character
     err_est = None if len(states) == 1 else \
         float(abs(states[0] - states[-1]).max()) / (2.0 ** order - 1.0)
     return StepRecord(state=State(t=t + h, y=states[-1]), h=h, alpha=alpha,
                       stage_iters=stage_iters, alpha_iters=alpha_iters,
-                      err_est=err_est, flagged=flagged)
-
-
-def _fixed(tab: ButcherTableau, chains, sys: HamiltonianSystem, cfg: SolverConfig):
-    """run(y, h, t, alpha_prev=0.0): a fixed tableau's step or attempt, as _stack(chains)."""
-    A, b, links = _stack(chains)
-
-    def run(y, h, t, alpha_prev=0.0):
-        states, _, iters = _evaluate(A, b, links, sys, y, h, cfg)
-        return _record(states, t, h, tab.order, tab.alpha, iters)
-    return run
+                      err_est=err_est, flagged=flagged, backed_off=backed_off)
 
 
 def _window(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
     """run(y, h, ts): the records of len(ts) fixed steps from the times ts, as one solve.
 
-    Every record carries the window's sweep count.  A window length's stacked
-    system is built on its first use and kept for the run.
+    One time is one step.  Every record carries the solve's sweep count.  A
+    window length's stacked system is built on its first use and kept.
     """
     systems = {}
 
@@ -257,10 +249,20 @@ def _window(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
     return run
 
 
+def _attempt(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
+    """run(y, h, t, alpha_prev=0.0): a fixed tableau's step-doubling attempt, as one solve."""
+    A, b, links = _stack([([tab], 1.0), ([tab, tab], 0.5)])
+
+    def run(y, h, t, alpha_prev=0.0):
+        states, _, iters = _evaluate(A, b, links, sys, y, h, cfg)
+        return _record(states, t, h, tab.order, tab.alpha, iters)
+    return run
+
+
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, cfg: SolverConfig, t: float = 0.0) -> StepRecord:
     """One step of the tableau's method from (t, y) to (t + h, y_next)."""
-    return _fixed(tab, [([tab], 1.0)], sys, cfg)(y, h, t)
+    return _window(tab, sys, cfg)(y, h, [t])[0]
 
 
 def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> float:
@@ -292,21 +294,22 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
     k = 3 if doubling else 1
     tabs = [build_equip_tableau(s, alpha_prev)] * k
     alpha, alpha_old, g_old = [tabs[0].alpha] * k, [None] * k, [0.0] * k
-    stage_iters, Y = 0, None
+    stage_iters, Y, backed_off = 0, None, False
     for evals in range(1, cfg.max_alpha_iters + 1):
         for i, a in enumerate(alpha):  # a block's tableau is rebuilt only when its alpha moved
             if tabs[i].alpha != a:
                 tabs[i] = build_equip_tableau(s, a)
-        try:  # a step has no half-steps' chain
-            states, Y, iters = _evaluate(*_stack([(tabs[:1], 1.0), (tabs[1:], 0.5)]),
-                                         sys, y, h, cfg, Y)
+        # a step is one block; an attempt chains its two half-steps after it
+        chains = [(tabs, 1.0)] if k == 1 else [(tabs[:1], 1.0), (tabs[1:], 0.5)]
+        try:
+            states, Y, iters = _evaluate(*_stack(chains), sys, y, h, cfg, Y)
         except (NonConvergence, Divergence) as exc:
             if evals == 1:
                 raise
             stage_iters += exc.sweeps
             for i in moved:
                 alpha[i] = (alpha[i] + best_alpha[i]) / 2
-            Y = best_Y
+            Y, backed_off = best_Y, True
             continue
         stage_iters += iters
         if evals == 1:
@@ -318,7 +321,7 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
         # a NaN energy change counts as infinite: it meets no tolerance and is flagged
         worst = math.inf if math.isnan(sum(g)) else max(map(abs, g))
         if evals == 1 or worst < best_g:
-            best_g, best_alpha, best, best_Y = worst, list(alpha), states, Y
+            best_g, best_alpha, best, best_Y = worst, alpha[:], states, Y
         if worst <= gtol:
             break
         # the blocks not within gtol move; a stall in any ends the secants
@@ -329,7 +332,7 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
         for i, a in moved.items():
             alpha_old[i], g_old[i], alpha[i] = alpha[i], g[i], a
     return _record(best, t, h, tabs[0].order, best_alpha[-1], stage_iters, evals,
-                   flagged=not best_g <= gtol)
+                   flagged=not best_g <= gtol, backed_off=backed_off)
 
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
@@ -346,8 +349,11 @@ def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
             return equip_step(method.s, sys, y, h, cfg, alpha_prev, t, doubling=doubling)
         return step, lambda *args: step(*args, doubling=True), None
     tab = build_tableau(method)
-    return (_fixed(tab, [([tab], 1.0)], sys, cfg),
-            _fixed(tab, [([tab], 1.0), ([tab, tab], 0.5)], sys, cfg), _window(tab, sys, cfg))
+    window = _window(tab, sys, cfg)
+
+    def step(y, h, t, alpha_prev=0.0):
+        return window(y, h, [t])[0]
+    return step, _attempt(tab, sys, cfg), window
 
 
 def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
@@ -363,8 +369,9 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
     """Apply n_steps constant-h steps from t = 0; returns one record per step.
 
     Gauss and HBVM steps run _WINDOW at a time as one stacked solve, and the
-    last window holds the steps left over.  A window that fails is run again
-    one step at a time, so a failure names the step that fails alone.
+    last window holds the steps left over.  When a window fails, its steps and
+    the rest of the run go one step at a time, so a failure names the step
+    that fails alone and a run pays for at most one failed window.
     """
     if not isinstance(n_steps, Integral) or n_steps < 1 or not 0.0 < h < np.inf:  # a NaN h fails
         raise ValueError("n_steps must be an integer >= 1 and h positive and finite, "
@@ -378,7 +385,7 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
                 try:
                     batch = window(y, h, [j * h for j in range(k, min(k + _WINDOW, n_steps))])
                 except (NonConvergence, Divergence):
-                    batch = None  # its steps run again one at a time
+                    batch = window = None  # one step at a time from here on
             rec = batch[k % _WINDOW] if batch else step(y, h, k * h, alpha_prev)
             records.append(rec)
             y, alpha_prev = rec.state.y, rec.alpha
@@ -409,7 +416,8 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     """Step-doubling adaptive driver from t = 0; one list of accepted records per stop.
 
     A step is accepted when err_est <= tol; the next stepsize multiplies by
-    the clamped controller factor, or halves after a solver failure.  h is
+    the clamped controller factor, or halves after a solver failure, which
+    includes an EQUIP attempt whose secant backed off a failed evaluation.  h is
     confined to [1e-8, stop - t] (MinStepReached when an attempt fails there)
     and the step that reaches a stop is shortened to land on it exactly.  The
     run after a stop restarts from the last unshortened step's h.
@@ -436,6 +444,8 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
                     info = attempt(y, h, t, alpha_prev)
                 except (NonConvergence, Divergence):
                     info = None
+                if info is not None and info.backed_off:
+                    info = None  # a smaller h is the controller's own way back
                 if info is not None and info.err_est <= tol:
                     y, alpha_prev = info.state.y, info.alpha
                     t = stop if lands_on_stop else t + h
