@@ -3,19 +3,20 @@
 Every step and step-doubling attempt, of every method, is one solve of a
 stacked stage system Y_i = y + h sum_j a_ij f(Y_j) and one field call for
 its updates.  Consecutive steps are one step of their composed tableau, so
-a step is the 1-block case, a fixed Gauss/HBVM run solves _WINDOW steps at
-a time, and an attempt is the 3-block case of the full step and the two
-half-steps, with err_est = |full - last|_inf / (2^p - 1).  The solve is a
+a step is the 1-block case, a fixed run solves _WINDOW steps at a time, and
+an attempt is the 3-block case of the full step and the two half-steps,
+with err_est = |full - last|_inf / (2^p - 1).  The solve is a
 fixed-point iteration, which preserves the tableau exactly and is
 contractive at the benchmark stepsizes.  As H = |p|^2/2 + V(q),
 f(Q, P) = (P, F(Q)), and each sweep is partitioned: P = p + hA F(Q) from the
 old positions, then Q = q + hA P from the new momenta, with one force call;
 on a linear problem that squares the plain sweep's contraction factor.
 EQUIP wraps the solve in a secant iteration per block that tunes alpha until
-the step conserves the energy, an attempt's three secants in lockstep; each
-evaluation after the first starts from the previous one's stages, and one
-that fails backs off towards the best evaluation.  On a stall or a spent
-budget the step takes the evaluated alpha of least energy change, flagged.
+each step conserves the energy, the secants of a window or an attempt in
+lockstep; each evaluation after the first starts from the previous one's
+stages, and one that fails backs off towards the best evaluation.  On a
+stall or a spent budget the steps take the evaluated alphas of least energy
+change, flagged; a flagged window's steps are solved again one at a time.
 Otherwise a failed stage solve or a non-finite result raises out of any step
 or window.  After a failed window the run goes on step by step; only the
 adaptive driver changes h, with context, also after an attempt backed off.
@@ -52,7 +53,7 @@ __all__ = [
 H_MIN = 1e-8
 _DIVERGENCE_LIMIT = 1e8
 _SECANT_PROBE = 1e-4
-_WINDOW = 8  # fixed Gauss/HBVM steps per stacked solve
+_WINDOW = 8  # fixed steps per stacked solve
 
 
 class IntegrationError(RuntimeError):
@@ -100,7 +101,7 @@ class StepRecord:
     evaluation; ``err_est`` is set in adaptive mode only.  An EQUIP attempt's
     alpha is its last half-step's, and alpha_iters counts its stacked evaluations.
     A step solved in a window of fixed steps has the window's sweep count as
-    its stage_iters.
+    its stage_iters, and for EQUIP the window's evaluations as its alpha_iters.
     """
 
     state: State
@@ -121,8 +122,18 @@ def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
         raise Divergence(f"vector field domain error: {exc}") from exc
 
 
+def _sweep_matrices(A: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(hA, M) of a sweep; rows 2i, 2i + 1 of M are stage i's Q and P force terms."""
+    if not np.isfinite(h):
+        raise ValueError("stepsize must be finite")
+    hA = h * A
+    # Q = q + hA P = q + hA p + (hA)^2 F(Q), so one product gives both
+    return hA, np.concatenate([hA @ hA, hA], axis=1).reshape(2 * len(A), len(A))
+
+
 def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
-                 h: float, cfg: SolverConfig, Y0: np.ndarray | None = None):
+                 h: float, cfg: SolverConfig, Y0: np.ndarray | None = None,
+                 matrices: tuple[np.ndarray, np.ndarray] | None = None):
     """Solve the stage system Y = y + hA f(Y) by partitioned fixed-point iteration.
 
     Returns (stages, iterations).  Stages come back as an (n_stages, dim)
@@ -131,17 +142,15 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
     bounds the P block's stage residual by about as much.  The iteration
     starts from Y0, an (n_stages, dim) guess such as the stages of a nearby
     tableau, or from y in every row when Y0 is None; the start changes only
-    the iteration count, not the tolerance the result meets.  Negative h is
-    legal (it runs the method backwards, used by the reversibility checks).
+    the iteration count, not the tolerance the result meets.  matrices is
+    _sweep_matrices(A, h), for a caller that solves one system many times.
+    Negative h is legal (it runs the method backwards, used by the
+    reversibility checks).
     """
-    if not np.isfinite(h):
-        raise ValueError("stepsize must be finite")
     tol = cfg.stage_tol * (1.0 + abs(y).max())
-    hA = h * A
+    hA, M = matrices or _sweep_matrices(A, h)
     n, m = len(A), sys.half_dim
-    # Q = q + hA P = q + hA p + (hA)^2 F(Q): base holds the force-free terms and
-    # rows 2i, 2i + 1 of M stage i's Q and P force terms, so one product gives both
-    M = np.concatenate([hA @ hA, hA], axis=1).reshape(2 * n, n)
+    # base holds the force-free terms of Q and P
     rows = np.repeat(y[None], n, axis=0)
     base = np.concatenate([rows[:, :m] + hA @ rows[:, m:], rows[:, m:]], axis=1)
     Y = rows if Y0 is None else Y0
@@ -204,12 +213,12 @@ def _increment(b: np.ndarray, sys: HamiltonianSystem, h: float, Y: np.ndarray) -
 
 
 def _evaluate(A: np.ndarray, b: np.ndarray, links, sys: HamiltonianSystem, y: np.ndarray,
-              h: float, cfg: SolverConfig, Y0: np.ndarray | None = None):
+              h: float, cfg: SolverConfig, Y0: np.ndarray | None = None, matrices=None):
     """(states, stages, iterations) of _stack's (A, b, links) from y, one state per step.
 
     A failure carries the stage sweeps it spent as its ``sweeps``.
     """
-    Y, iters = solve_stages(A, sys, y, h, cfg, Y0)
+    Y, iters = solve_stages(A, sys, y, h, cfg, Y0, matrices)
     try:
         dy = _increment(b, sys, h, Y)
     except Divergence as exc:
@@ -233,17 +242,21 @@ def _record(states, t: float, h: float, order: int, alpha: float, stage_iters: i
 
 
 def _window(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
-    """run(y, h, ts): the records of len(ts) fixed steps from the times ts, as one solve.
+    """run(y, h, ts, alpha_prev=0.0): the records of len(ts) fixed steps from the times ts.
 
-    One time is one step.  Every record carries the solve's sweep count.  A
-    window length's stacked system is built on its first use and kept.
+    The steps are one solve, and one time is one step.  Every record carries
+    the solve's sweep count.  A window length's stacked system and its sweep
+    matrices at h are built on their first use and kept.
     """
     systems = {}
 
-    def run(y, h, ts):
-        if len(ts) not in systems:
-            systems[len(ts)] = _stack([([tab] * len(ts), 1.0)])
-        states, _, iters = _evaluate(*systems[len(ts)], sys, y, h, cfg)
+    def run(y, h, ts, alpha_prev=0.0):
+        key = len(ts), h
+        if key not in systems:
+            A, b, links = _stack([([tab] * len(ts), 1.0)])
+            systems[key] = A, b, links, _sweep_matrices(A, h)
+        A, b, links, matrices = systems[key]
+        states, _, iters = _evaluate(A, b, links, sys, y, h, cfg, None, matrices)
         return [_record(states[i:i + 1], t, h, tab.order, tab.alpha, iters)
                 for i, t in enumerate(ts)]
     return run
@@ -274,24 +287,42 @@ def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> fl
     return math.nan if stalled else alpha - g * (alpha - alpha_old) / denom
 
 
+class _Records(tuple):
+    """The records of a window of fixed EQUIP steps; flagged when any of them is.
+
+    The benchmark's tracer reads ``flagged`` on what equip_step returns.
+    """
+
+    @property
+    def flagged(self) -> bool:
+        return any(rec.flagged for rec in self)
+
+
 def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: SolverConfig,
-               alpha_prev: float = 0.0, t: float = 0.0, *, doubling: bool = False) -> StepRecord:
-    """EQUIP step, or with doubling a step-doubling attempt: tune alpha so H is kept.
+               alpha_prev: float = 0.0, t: float | list[float] = 0.0, *,
+               doubling: bool = False) -> StepRecord | _Records:
+    """EQUIP step, window or step-doubling attempt: tune alpha so H is kept.
 
     The secant on g(alpha) = H(y_next(alpha)) - H(y) starts from alpha_prev.
-    An attempt gives each block of its stacked system its own alpha and runs
-    three secants in lockstep, on H(full) - H(y), H(half) - H(y) and
-    H(last) - H(half); a block whose |g| meets the tolerance keeps its alpha
-    while it does, and the attempt ends when all three meet it at once.  When
-    an evaluation after the first fails its stage solve or update, each alpha
-    backs off halfway to the best evaluation's, from that evaluation's stages.
-    On a stall or a spent budget the evaluation of least largest |g| is
-    returned, flagged, counting all the work spent, failed sweeps included.
-    H(y) is taken after the first stage solve succeeds, which has evaluated
-    the field at y, so a y outside the field's domain fails as a Divergence
-    before any energy evaluation; a failed first evaluation raises.
+    With a list of start times t, the call is a window of len(t) consecutive
+    fixed steps, solved as one stacked system, and returns their records as a
+    tuple whose ``flagged`` is true when any record is; with doubling it is a
+    step-doubling attempt.  Each block of a stacked system has its own alpha
+    and secant, all in lockstep, on the energy change from the state the
+    block starts from: H(y_i) - H(y_i-1) for a window's steps, and
+    H(full) - H(y), H(half) - H(y) and H(last) - H(half) for an attempt.  A
+    block whose |g| meets the tolerance keeps its alpha while it does, and
+    the solve ends when all meet it at once.  When an evaluation after the
+    first fails its stage solve or update, each alpha backs off halfway to
+    the best evaluation's, from that evaluation's stages.  On a stall or a
+    spent budget the evaluation of least largest |g| is returned, its blocks
+    outside the tolerance flagged, counting all the work spent, failed sweeps
+    included.  H(y) is taken after the first stage solve succeeds, which has
+    evaluated the field at y, so a y outside the field's domain fails as a
+    Divergence before any energy evaluation; a failed first evaluation raises.
     """
-    k = 3 if doubling else 1
+    ts = t if isinstance(t, list) else [t]
+    k = 3 if doubling else len(ts)
     tabs = [build_equip_tableau(s, alpha_prev)] * k
     alpha, alpha_old, g_old = [tabs[0].alpha] * k, [None] * k, [0.0] * k
     stage_iters, Y, backed_off = 0, None, False
@@ -299,10 +330,10 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
         for i, a in enumerate(alpha):  # a block's tableau is rebuilt only when its alpha moved
             if tabs[i].alpha != a:
                 tabs[i] = build_equip_tableau(s, a)
-        # a step is one block; an attempt chains its two half-steps after it
-        chains = [(tabs, 1.0)] if k == 1 else [(tabs[:1], 1.0), (tabs[1:], 0.5)]
+        # a window is one chain; an attempt chains its two half-steps after its full step
+        A, b, links = _stack([(tabs[:1], 1.0), (tabs[1:], 0.5)] if doubling else [(tabs, 1.0)])
         try:
-            states, Y, iters = _evaluate(*_stack(chains), sys, y, h, cfg, Y)
+            states, Y, iters = _evaluate(A, b, links, sys, y, h, cfg, Y)
         except (NonConvergence, Divergence) as exc:
             if evals == 1:
                 raise
@@ -315,13 +346,13 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
         if evals == 1:
             H0 = float(sys.energy(y))
             gtol = cfg.alpha_tol * (1.0 + abs(H0))
-        # H of (y, *states); the blocks start from y, y and the half-step
+        # H of (y, *states); a linked block starts from the state before it, others from y
         H = [H0, *sys.energy(states).tolist()]
-        g = [e - H[start] for e, start in zip(H[1:], (0, 0, 2))]
+        g = [H[i + 1] - H[i if i in links else 0] for i in range(k)]
         # a NaN energy change counts as infinite: it meets no tolerance and is flagged
         worst = math.inf if math.isnan(sum(g)) else max(map(abs, g))
-        if evals == 1 or worst < best_g:
-            best_g, best_alpha, best, best_Y = worst, alpha[:], states, Y
+        if evals == 1 or worst < best_worst:
+            best_worst, best_g, best_alpha, best, best_Y = worst, g, alpha[:], states, Y
         if worst <= gtol:
             break
         # the blocks not within gtol move; a stall in any ends the secants
@@ -331,23 +362,32 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
             break
         for i, a in moved.items():
             alpha_old[i], g_old[i], alpha[i] = alpha[i], g[i], a
-    return _record(best, t, h, tabs[0].order, best_alpha[-1], stage_iters, evals,
-                   flagged=not best_g <= gtol, backed_off=backed_off)
+    order = tabs[0].order
+    if doubling:
+        return _record(best, t, h, order, best_alpha[-1], stage_iters, evals,
+                       flagged=not best_worst <= gtol, backed_off=backed_off)
+    records = _Records(
+        _record(best[i:i + 1], t_i, h, order, best_alpha[i], stage_iters, evals,
+                flagged=not abs(best_g[i]) <= gtol, backed_off=backed_off)
+        for i, t_i in enumerate(ts))
+    return records if isinstance(t, list) else records[0]
 
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
     """(step, attempt, window); the one place method.kind is read.
 
     step and attempt(y, h, t, alpha_prev) -> StepRecord, an attempt being one
-    step-doubling attempt, with err_est.  window(y, h, ts) gives the records
-    of len(ts) consecutive fixed steps from one stacked solve; it is None for
-    EQUIP, whose steps each tune their own alpha in equip_step.  Gauss and
-    HBVM build their tableau once here.
+    step-doubling attempt, with err_est.  window(y, h, ts, alpha_prev) gives
+    the records of len(ts) consecutive fixed steps from one stacked solve;
+    for EQUIP it is one equip_step call, every step starting its secant from
+    alpha_prev, and each record's alpha_iters and stage_iters are the
+    window's.  Gauss and HBVM build their tableau once here.
     """
     if method.kind == "equip":
         def step(y, h, t, alpha_prev, doubling=False):
             return equip_step(method.s, sys, y, h, cfg, alpha_prev, t, doubling=doubling)
-        return step, lambda *args: step(*args, doubling=True), None
+        # step with a list of times is a window
+        return step, lambda *args: step(*args, doubling=True), step
     tab = build_tableau(method)
     window = _window(tab, sys, cfg)
 
@@ -368,10 +408,12 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
                     h: float, n_steps: int, cfg: SolverConfig) -> list[StepRecord]:
     """Apply n_steps constant-h steps from t = 0; returns one record per step.
 
-    Gauss and HBVM steps run _WINDOW at a time as one stacked solve, and the
-    last window holds the steps left over.  When a window fails, its steps and
-    the rest of the run go one step at a time, so a failure names the step
-    that fails alone and a run pays for at most one failed window.
+    Steps run _WINDOW at a time as one stacked solve, and the last window
+    holds the steps left over; an EQUIP window's steps start their secants
+    from the last alpha of the window before, and a window with a flagged
+    step is solved again one step at a time.  When a window fails, its steps
+    and the rest of the run go one step at a time, so a failure names the
+    step that fails alone and a run pays for at most one failed window.
     """
     if not isinstance(n_steps, Integral) or n_steps < 1 or not 0.0 < h < np.inf:  # a NaN h fails
         raise ValueError("n_steps must be an integer >= 1 and h positive and finite, "
@@ -383,9 +425,12 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
         for k in range(n_steps):
             if window and k % _WINDOW == 0:
                 try:
-                    batch = window(y, h, [j * h for j in range(k, min(k + _WINDOW, n_steps))])
+                    batch = window(y, h, [j * h for j in range(k, min(k + _WINDOW, n_steps))],
+                                   alpha_prev)
                 except (NonConvergence, Divergence):
                     batch = window = None  # one step at a time from here on
+                if batch and any(rec.flagged for rec in batch):
+                    batch = None  # a flagged window's steps go one at a time
             rec = batch[k % _WINDOW] if batch else step(y, h, k * h, alpha_prev)
             records.append(rec)
             y, alpha_prev = rec.state.y, rec.alpha

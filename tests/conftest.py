@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geork.cli import _build_parser, parse_method_list
+from geork.cli import CONVERGENCE_CONFIG, _build_parser, parse_method_list
 from geork.dynamics import HamiltonianSystem, State, kepler_system
 from geork.experiments import PERIOD, convergence_study, drift_reports, run_adaptive_periods
 from geork.integrator import SolverConfig
@@ -53,7 +53,7 @@ def convergence_campaign():
     args = CONVERGENCE_ARGS
     h_grid = [PERIOD / int(d) for d in args.h_divisors.split(",")]
     return convergence_study(parse_method_list(args.methods), args.e, args.periods, h_grid,
-                             SolverConfig())
+                             CONVERGENCE_CONFIG)
 
 
 @pytest.fixture(scope="session")

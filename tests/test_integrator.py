@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from hypothesis.extra import numpy as hnp
 
 from geork import integrator
+from geork.cli import CONVERGENCE_CONFIG
 from geork.dynamics import (
     DomainError, HamiltonianSystem, angular_momentum, kepler_reference, kepler_system,
     quartic_oscillator,
@@ -52,7 +53,8 @@ def trapped_system(traps, value=np.inf):
     stage solve on its first iteration, so each stacked solve evaluates the
     field twice: the stage solve on odd calls (1, 3, ...) and the update
     y + h sum b_i f(Y_i) on even calls (2, 4, ...).  A step is one such
-    solve, and so is a window of fixed Gauss or HBVM steps.
+    solve, and so is a window of fixed steps; as H = 0, an EQUIP step or
+    window meets its alpha tolerance on its first evaluation.
     """
     calls = itertools.count(1)
 
@@ -554,12 +556,14 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
     # integrator.equip_step and alpha evaluations by wrapping
     # integrator.build_equip_tableau; a name bound at import would hide them
     calls = {"equip_step": 0, "build_equip_tableau": 0}
-    built = []
+    built, starts = [], []  # the alphas built, and where each equip_step call began
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(integrator, name), **kwargs):
             calls[_name] += 1
             if _name == "build_equip_tableau":
                 built.append(args[1])
+            else:
+                starts.append(len(built))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(integrator, name, counted)
     sys, state0 = kepler_system(0.6)
@@ -584,6 +588,21 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
     assert alphas[0] == (0.0, 0.0, 0.0) and rec.alpha_iters == len(alphas) > 2
     assert built == [0.0, *moved] and len(moved) < 3 * (len(alphas) - 1)
     assert calls == {"equip_step": 1, "build_equip_tableau": len(built)}
+    # a fixed run is one call per window.  A window's first evaluation builds
+    # one tableau, at the last alpha of the window before, for all its steps;
+    # each later one a tableau per step whose alpha moved, at least one
+    calls.update(equip_step=0, build_equip_tableau=0)
+    built.clear()
+    starts.clear()
+    W = integrator._WINDOW
+    recs = integrate_fixed(EQUIP3, sys, state0.y, T / 100, 2 * W + 3, cfg)
+    windows = [recs[:W], recs[W:2 * W], recs[2 * W:]]
+    assert calls == {"equip_step": 3, "build_equip_tableau": len(built)}
+    assert [built[i] for i in starts] == [0.0, recs[W - 1].alpha, recs[2 * W - 1].alpha]
+    for w, first, end in zip(windows, starts, [*starts[1:], len(built)]):
+        assert {rec.alpha_iters for rec in w} == {w[0].alpha_iters}
+        assert w[0].alpha_iters <= end - first <= 1 + len(w) * (w[0].alpha_iters - 1)
+    assert not any(rec.flagged for rec in recs)
 
 
 @pytest.mark.parametrize("method", [GAUSS3, HBVM63, HBVM123], ids=str)
@@ -693,15 +712,114 @@ def test_windowed_fixed_steps_match_cold_rk_steps(problem, e, method, divisor, n
         y = rec.state.y
 
 
-def test_failed_window_runs_the_rest_one_step_at_a_time(cfg):
-    # the first window's update is inf once: that window and the rest of the
-    # run go step by step, bit for bit the rk_step loop, and no window is
-    # tried again (every later field call is a single step's)
+def equip_step_loop(sys, y, h, n_steps, cfg):
+    """(states, failure) of n_steps equip_steps from y, each from the alpha before."""
+    states, alpha = [], 0.0
+    for k in range(n_steps):
+        try:
+            rec = equip_step(3, sys, y, h, cfg, alpha, k * h)
+        except (NonConvergence, Divergence) as exc:
+            return states, (k, type(exc))
+        y, alpha = rec.state.y, rec.alpha
+        states.append(y)
+    return states, None
+
+
+@settings(deadline=None, max_examples=40)
+@example(e=0.6, divisor=200.0, n_steps=2 * integrator._WINDOW + 3, budget=100)
+@given(e=st.floats(0.0, 0.9), divisor=st.floats(50.0, 200.0),
+       n_steps=st.integers(1, 3 * integrator._WINDOW), budget=st.sampled_from([6, 100]))
+def test_windowed_equip_steps_keep_the_energy_contract(e, divisor, n_steps, budget):
+    # a fixed EQUIP run solves _WINDOW steps at a time, each with its own
+    # secant on its energy change from the step before.  Over the default
+    # convergence campaign's stepsizes every record is at t = k h + h and
+    # meets |H(y_k) - H(y_k-1)| <= gtol or is flagged; a one-step run is
+    # equip_step, bit for bit.  The starved budget of 6 sweeps fails windows
+    # and steps, and a run that fails names the step and the error type of a
+    # plain equip_step loop
+    cfg = SolverConfig(max_stage_iters=budget)
+    sys, state0 = kepler_system(e)
+    h = T / divisor
+    try:
+        recs = integrate_fixed(EQUIP3, sys, state0.y, h, n_steps, cfg)
+    except (NonConvergence, Divergence) as exc:
+        _, (k, error) = equip_step_loop(sys, state0.y, h, n_steps, cfg)
+        assert type(exc) is error
+        assert str(exc).startswith(f"{EQUIP3} failed at step {k} (")
+        return
+    assert len(recs) == n_steps
+    gtol = cfg.alpha_tol * (1 + abs(float(sys.energy(state0.y))))
+    H = sys.energy(np.stack([state0.y, *(rec.state.y for rec in recs)]))
+    for k, rec in enumerate(recs):
+        assert (rec.state.t, rec.h, rec.err_est) == (k * h + h, h, None)
+        assert rec.flagged or abs(H[k + 1] - H[k]) <= gtol
+    if n_steps == 1:
+        single = equip_step(3, sys, state0.y, h, cfg)
+        np.testing.assert_array_equal(recs[0].state.y, single.state.y)
+        assert dataclasses.astuple(recs[0])[1:] == dataclasses.astuple(single)[1:]
+
+
+def test_flagged_window_is_solved_again_one_step_at_a_time(monkeypatch):
+    # an unreachable alpha tolerance flags every window, so each window's
+    # steps are solved again one equip_step at a time, from the window's
+    # start and alpha: the run is the equip_step loop, bit for bit, and each
+    # window costs one call more than it has steps
+    calls, step = [], integrator.equip_step
+
+    def counted(*args, **kwargs):
+        calls.append(args[6])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "equip_step", counted)
+    sys, state0 = kepler_system(0.6)
+    starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=3)
+    W, h, n = integrator._WINDOW, T / 100, integrator._WINDOW + 3
+    recs = integrate_fixed(EQUIP3, sys, state0.y, h, n, starved)
+    assert len(calls) == 2 + n and [len(t) for t in calls if isinstance(t, list)] == [W, 3]
+    y, alpha = state0.y, 0.0
+    for k, rec in enumerate(recs):
+        single = step(3, sys, y, h, starved, alpha, k * h)
+        np.testing.assert_array_equal(rec.state.y, single.state.y)
+        assert dataclasses.astuple(rec)[1:] == dataclasses.astuple(single)[1:]
+        assert rec.flagged and rec.alpha_iters == 3
+        y, alpha = rec.state.y, rec.alpha
+
+
+def test_campaign_equip_errors_do_not_depend_on_the_window(monkeypatch):
+    # at small h any alpha inside the energy tolerance is a valid EQUIP step,
+    # and where the secant stops moves the solution; at the convergence
+    # campaign's alpha tolerance a windowed run and a step-by-step one agree
+    # (measured 7.1695e-9 against 7.1707e-9; at the default tolerance they
+    # differ by 1.3 %)
+    def solution_error():
+        (res, *_) = convergence_study([EQUIP3], 0.6, 2, [T / 200], CONVERGENCE_CONFIG)
+        return res.samples[0][1]
+
+    windowed = solution_error()
+    monkeypatch.setattr(integrator, "_WINDOW", 1)
+    assert windowed == pytest.approx(solution_error(), rel=1e-3, abs=0)
+
+
+def check_failed_window_runs_the_rest_one_step_at_a_time(method, cfg):
+    """The first window's first update is inf once.
+
+    That window and the rest of the run go step by step, bit for bit the
+    driver's step loop, and no window is tried again (every later field call
+    is a single step's).
+    """
     sys, state0 = kepler_system(0.6)
     W, h = integrator._WINDOW, T / 100
-    clean = integrate_fixed(HBVM63, sys, state0.y, h, W + 2, cfg)
+    sweeps, solve = [], integrator.solve_stages
+
+    def counted(*args):
+        Y, iters = solve(*args)
+        sweeps.append(iters)
+        return Y, iters
+
+    with mock.patch.object(integrator, "solve_stages", counted):
+        clean = integrate_fixed(method, sys, state0.y, h, W + 2, cfg)
     assert len({rec.stage_iters for rec in clean[:W]}) == 1
-    update = clean[0].stage_iters + 1  # the field call after the window's sweeps
+    update = sweeps[0] + 1  # the field call after the window's first sweeps
     calls = itertools.count(1)
 
     def force(q):
@@ -709,15 +827,28 @@ def test_failed_window_runs_the_rest_one_step_at_a_time(cfg):
         return np.full_like(f, np.inf) if next(calls) == update else f
 
     trapped = dataclasses.replace(sys, force=force)
-    recs = integrate_fixed(HBVM63, trapped, state0.y, h, W + 2, cfg)
-    tab, y = build_tableau(HBVM63), state0.y
+    recs = integrate_fixed(method, trapped, state0.y, h, W + 2, cfg)
+    step, _, _ = _stepper(method, sys, cfg)
+    y, alpha = state0.y, 0.0
     for k, rec in enumerate(recs):
-        single = rk_step(tab, sys, y, h, cfg, k * h)
+        single = step(y, h, k * h, alpha)
         np.testing.assert_array_equal(rec.state.y, single.state.y)
-        assert (rec.state.t, rec.stage_iters) == (single.state.t, single.stage_iters)
-        y = rec.state.y
+        assert (rec.state.t, rec.stage_iters, rec.alpha) == \
+            (single.state.t, single.stage_iters, single.alpha)
+        y, alpha = rec.state.y, rec.alpha
     assert len(recs) == W + 2
-    assert next(calls) == update + sum(rec.stage_iters + 1 for rec in recs) + 1
+    # a step's field calls are its sweeps and an update per evaluation, of
+    # which Gauss and HBVM steps have one (their alpha_iters is 0)
+    assert next(calls) == update + sum(rec.stage_iters + max(rec.alpha_iters, 1)
+                                       for rec in recs) + 1
+
+
+def test_failed_window_runs_the_rest_one_step_at_a_time(cfg):
+    check_failed_window_runs_the_rest_one_step_at_a_time(HBVM63, cfg)
+
+
+def test_failed_equip_window_runs_the_rest_one_step_at_a_time(cfg):
+    check_failed_window_runs_the_rest_one_step_at_a_time(EQUIP3, cfg)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -734,18 +865,14 @@ def test_fixed_driver_reports_failing_step(cfg):
         integrate_fixed(GAUSS3, sys, state0.y, T / 100, 5, starved)
 
 
-@pytest.mark.parametrize("method, traps", [
-    # the window's update (call 2) fails, so its steps run again one at a time:
+@pytest.mark.parametrize("method", [GAUSS3, EQUIP3], ids=str)
+def test_non_finite_update_is_divergence(method, cfg):
+    # the updates are inf on the trapped calls; the stage solves are not.  The
+    # window's update (call 2) fails, so its steps run again one at a time:
     # step 0 on calls 3 and 4, and step 1, whose update is call 6
-    pytest.param(GAUSS3, {2, 6}, id="gauss:s=3"),
-    # EQUIP steps one at a time, and step 1's update is call 4
-    pytest.param(EQUIP3, {4}, id="equip:s=3"),
-])
-def test_non_finite_update_is_divergence(method, traps, cfg):
-    # the updates are inf on the trapped calls; the stage solves are not
     y0 = np.array([1.0, 0.0])
     with pytest.raises(Divergence, match="step 1"):
-        integrate_fixed(method, trapped_system(traps), y0, 0.1, 3, cfg)
+        integrate_fixed(method, trapped_system({2, 6}), y0, 0.1, 3, cfg)
 
 
 def test_drivers_reject_equip1_before_any_solve(cfg):

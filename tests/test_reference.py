@@ -2,8 +2,15 @@
 
 tests/data holds the CSVs that the default ``geork convergence`` and
 ``geork drift`` wrote with the Jacobi stage sweep (sha256 571a8655... and
-555e5339...).  A solver change that moves results at round-off on purpose
-cannot keep those bytes, so the session's campaigns are compared with them:
+555e5339...).  The convergence CSV's 15 EQUIP rows were made again when the
+campaign's alpha tolerance went from 1e-13 to 1e-15 (``cli.CONVERGENCE_CONFIG``),
+by the step-by-step secant, before fixed EQUIP steps were solved in windows:
+at 1e-13 where the secant stops inside the tolerance moved EQUIP's error at
+h = 2 pi / 200 by up to 8 %, and at 1e-15 a windowed run and a step-by-step
+one agree to 6e-4, so the reference checks the windowed code against another
+solver path (the file is now sha256 f586565c...).  A solver change that moves
+results at round-off on purpose cannot keep those bytes, so the session's
+campaigns are compared with them:
 
 - the drift verdicts are identical;
 - a sample whose reference lies above 1e-10 (truncation level) agrees to a
