@@ -101,6 +101,8 @@ def kepler_reference(e: float, t: float) -> np.ndarray:
     """
     if not 0.0 <= e < 1.0:
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
+    if not np.isfinite(t):  # Newton would stall on a NaN mean anomaly
+        raise ValueError(f"t must be finite, got {t}")
     M = np.fmod(t, 2.0 * np.pi)
     if M < 0.0:
         M += 2.0 * np.pi

@@ -14,12 +14,13 @@ on a linear problem that squares the plain sweep's contraction factor.
 EQUIP wraps the solve in a secant iteration per block that tunes alpha until
 each step conserves the energy, the secants of a window or an attempt in
 lockstep; each evaluation after the first starts from the previous one's
-stages, and one that fails backs off towards the best evaluation.  On a
-stall or a spent budget the steps take the evaluated alphas of least energy
-change, flagged; a flagged window's steps are solved again one at a time.
-Otherwise a failed stage solve or a non-finite result raises out of any step
-or window.  After a failed window the run goes on step by step; only the
-adaptive driver changes h, with context, also after an attempt backed off.
+stages.  On a stall, a spent budget or a failed evaluation after the first
+(which marks the record backed_off) the steps take the evaluated alphas of
+least energy change, flagged; a flagged window's steps are solved again one
+at a time.  A failed first evaluation, like any failed stage solve or
+non-finite result of Gauss or HBVM, raises out of the step or window.
+After a failed window the run goes on step by step; only the adaptive
+driver changes h, with context, also after an attempt backed off.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class StepRecord:
     """One accepted step; alpha is 0 for non-EQUIP methods.
 
     ``flagged`` marks EQUIP steps whose secant stopped short of energy
-    conservation, and ``backed_off`` those whose secant backed off a failed
-    evaluation; ``err_est`` is set in adaptive mode only.  An EQUIP attempt's
-    alpha is its last half-step's, and alpha_iters counts its stacked evaluations.
+    conservation, and ``backed_off`` those whose secant ended on a failed
+    evaluation after the first, which are flagged too; ``err_est`` is set in
+    adaptive mode only.  An EQUIP attempt's alpha is its last half-step's,
+    and alpha_iters counts its stacked evaluations.
     A step solved in a window of fixed steps has the window's sweep count as
     its stage_iters, and for EQUIP the window's evaluations as its alpha_iters.
     """
@@ -184,10 +186,7 @@ def _stack(chains) -> tuple[np.ndarray, np.ndarray, list[int]]:
     the full step and the two half-steps, [([tab], 1), ([tab, tab], 1/2)].
     """
     steps = [tab for tabs, _ in chains for tab in tabs]
-    b, k = steps[0].b, len(steps)
-    if k == 1:  # one step is its own tableau
-        return steps[0].A, b[None, None], []
-    n = len(b)
+    b, k, n = steps[0].b, len(steps), len(steps[0].b)
     # A[i, :, j] is block (i, j)
     A, scale, links, first = np.zeros((k, n, k, n)), [], [], 0
     for tabs, c in chains:
@@ -203,24 +202,19 @@ def _stack(chains) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return A.reshape(k * n, k * n), np.multiply.outer(scale, b)[:, None], links
 
 
-def _increment(b: np.ndarray, sys: HamiltonianSystem, h: float, Y: np.ndarray) -> np.ndarray:
-    """h b^T (P, force(Q)) per block of a (k, 1, n) b, as (k, dim); non-finite is a Divergence."""
-    F = np.concatenate([Y[:, sys.half_dim:], canonical_field(sys, Y)], axis=1)
-    dy = h * (b @ F.reshape(len(b), b.shape[-1], -1))[:, 0]
-    if not np.isfinite(dy).all():
-        raise Divergence(f"non-finite step result at h={h}")
-    return dy
-
-
 def _evaluate(A: np.ndarray, b: np.ndarray, links, sys: HamiltonianSystem, y: np.ndarray,
               h: float, cfg: SolverConfig, Y0: np.ndarray | None = None, matrices=None):
     """(states, stages, iterations) of _stack's (A, b, links) from y, one state per step.
 
-    A failure carries the stage sweeps it spent as its ``sweeps``.
+    Block i's increment is h b_i^T (P, force(Q)), and a non-finite one is a
+    Divergence.  A failure carries the stage sweeps it spent as its ``sweeps``.
     """
     Y, iters = solve_stages(A, sys, y, h, cfg, Y0, matrices)
     try:
-        dy = _increment(b, sys, h, Y)
+        F = np.concatenate([Y[:, sys.half_dim:], canonical_field(sys, Y)], axis=1)
+        dy = h * (b @ F.reshape(len(b), b.shape[-1], -1))[:, 0]
+        if not np.isfinite(dy).all():
+            raise Divergence(f"non-finite step result at h={h}")
     except Divergence as exc:
         exc.sweeps = iters
         raise
@@ -241,8 +235,16 @@ def _record(states, t: float, h: float, order: int, alpha: float, stage_iters: i
                       err_est=err_est, flagged=flagged, backed_off=backed_off)
 
 
+class _Records(tuple):
+    """The records of a window of fixed steps, of any method; flagged when any of them is."""
+
+    @property
+    def flagged(self) -> bool:
+        return any(rec.flagged for rec in self)
+
+
 def _window(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
-    """run(y, h, ts, alpha_prev=0.0): the records of len(ts) fixed steps from the times ts.
+    """run(y, h, ts, alpha_prev=0.0): the _Records of len(ts) fixed steps from the times ts.
 
     The steps are one solve, and one time is one step.  Every record carries
     the solve's sweep count.  A window length's stacked system and its sweep
@@ -257,8 +259,8 @@ def _window(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
             systems[key] = A, b, links, _sweep_matrices(A, h)
         A, b, links, matrices = systems[key]
         states, _, iters = _evaluate(A, b, links, sys, y, h, cfg, None, matrices)
-        return [_record(states[i:i + 1], t, h, tab.order, tab.alpha, iters)
-                for i, t in enumerate(ts)]
+        return _Records(_record(states[i:i + 1], t, h, tab.order, tab.alpha, iters)
+                        for i, t in enumerate(ts))
     return run
 
 
@@ -287,41 +289,32 @@ def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> fl
     return math.nan if stalled else alpha - g * (alpha - alpha_old) / denom
 
 
-class _Records(tuple):
-    """The records of a window of fixed EQUIP steps; flagged when any of them is.
-
-    The benchmark's tracer reads ``flagged`` on what equip_step returns.
-    """
-
-    @property
-    def flagged(self) -> bool:
-        return any(rec.flagged for rec in self)
-
-
 def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: SolverConfig,
                alpha_prev: float = 0.0, t: float | list[float] = 0.0, *,
                doubling: bool = False) -> StepRecord | _Records:
     """EQUIP step, window or step-doubling attempt: tune alpha so H is kept.
 
     The secant on g(alpha) = H(y_next(alpha)) - H(y) starts from alpha_prev.
-    With a list of start times t, the call is a window of len(t) consecutive
-    fixed steps, solved as one stacked system, and returns their records as a
-    tuple whose ``flagged`` is true when any record is; with doubling it is a
-    step-doubling attempt.  Each block of a stacked system has its own alpha
-    and secant, all in lockstep, on the energy change from the state the
-    block starts from: H(y_i) - H(y_i-1) for a window's steps, and
-    H(full) - H(y), H(half) - H(y) and H(last) - H(half) for an attempt.  A
-    block whose |g| meets the tolerance keeps its alpha while it does, and
-    the solve ends when all meet it at once.  When an evaluation after the
-    first fails its stage solve or update, each alpha backs off halfway to
-    the best evaluation's, from that evaluation's stages.  On a stall or a
-    spent budget the evaluation of least largest |g| is returned, its blocks
-    outside the tolerance flagged, counting all the work spent, failed sweeps
-    included.  H(y) is taken after the first stage solve succeeds, which has
-    evaluated the field at y, so a y outside the field's domain fails as a
-    Divergence before any energy evaluation; a failed first evaluation raises.
+    With a non-empty list of start times t, the call is a window of len(t)
+    consecutive fixed steps, solved as one stacked system, and returns their
+    records as a tuple whose ``flagged`` is true when any record is; with
+    doubling it is a step-doubling attempt.  Each block of a stacked system
+    has its own alpha and secant, all in lockstep, on the energy change from
+    the state the block starts from: H(y_i) - H(y_i-1) for a window's steps,
+    and H(full) - H(y), H(half) - H(y) and H(last) - H(half) for an attempt.
+    A block whose |g| meets the tolerance keeps its alpha while it does, and
+    the solve ends when all meet it at once.  On a stall, a spent budget or
+    an evaluation after the first that fails its stage solve or update, the
+    evaluation of least largest |g| is returned, its blocks outside the
+    tolerance flagged, counting all the work spent, failed sweeps included;
+    after a failure the records are also ``backed_off``.  H(y) is taken
+    after the first stage solve succeeds, which has evaluated the field at
+    y, so a y outside the field's domain fails as a Divergence before any
+    energy evaluation; a failed first evaluation raises.
     """
     ts = t if isinstance(t, list) else [t]
+    if not ts:
+        raise ValueError("a window needs at least one start time, got t=[]")
     k = 3 if doubling else len(ts)
     tabs = [build_equip_tableau(s, alpha_prev)] * k
     alpha, alpha_old, g_old = [tabs[0].alpha] * k, [None] * k, [0.0] * k
@@ -338,10 +331,8 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
             if evals == 1:
                 raise
             stage_iters += exc.sweeps
-            for i in moved:
-                alpha[i] = (alpha[i] + best_alpha[i]) / 2
-            Y, backed_off = best_Y, True
-            continue
+            backed_off = True  # flagged too: no evaluation so far met gtol
+            break
         stage_iters += iters
         if evals == 1:
             H0 = float(sys.energy(y))
@@ -352,7 +343,7 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
         # a NaN energy change counts as infinite: it meets no tolerance and is flagged
         worst = math.inf if math.isnan(sum(g)) else max(map(abs, g))
         if evals == 1 or worst < best_worst:
-            best_worst, best_g, best_alpha, best, best_Y = worst, g, alpha[:], states, Y
+            best_worst, best_g, best_alpha, best = worst, g, alpha[:], states
         if worst <= gtol:
             break
         # the blocks not within gtol move; a stall in any ends the secants
@@ -362,38 +353,31 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
             break
         for i, a in moved.items():
             alpha_old[i], g_old[i], alpha[i] = alpha[i], g[i], a
-    order = tabs[0].order
     if doubling:
-        return _record(best, t, h, order, best_alpha[-1], stage_iters, evals,
+        return _record(best, t, h, tabs[0].order, best_alpha[-1], stage_iters, evals,
                        flagged=not best_worst <= gtol, backed_off=backed_off)
     records = _Records(
-        _record(best[i:i + 1], t_i, h, order, best_alpha[i], stage_iters, evals,
+        _record(best[i:i + 1], t_i, h, tabs[0].order, best_alpha[i], stage_iters, evals,
                 flagged=not abs(best_g[i]) <= gtol, backed_off=backed_off)
         for i, t_i in enumerate(ts))
     return records if isinstance(t, list) else records[0]
 
 
-def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig):
-    """(step, attempt, window); the one place method.kind is read.
+def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig,
+             doubling: bool = False):
+    """The one solve a driver calls, and the one place method.kind is read.
 
-    step and attempt(y, h, t, alpha_prev) -> StepRecord, an attempt being one
-    step-doubling attempt, with err_est.  window(y, h, ts, alpha_prev) gives
-    the records of len(ts) consecutive fixed steps from one stacked solve;
-    for EQUIP it is one equip_step call, every step starting its secant from
-    alpha_prev, and each record's alpha_iters and stage_iters are the
-    window's.  Gauss and HBVM build their tableau once here.
+    window(y, h, ts, alpha_prev) gives the _Records of len(ts) fixed steps as
+    one stacked solve, every EQUIP secant starting from alpha_prev; with
+    doubling it is attempt(y, h, t, alpha_prev), one step-doubling attempt's
+    StepRecord.  Gauss and HBVM build their tableau once here.
     """
     if method.kind == "equip":
-        def step(y, h, t, alpha_prev, doubling=False):
+        def solve(y, h, t, alpha_prev):
+            # integrator.equip_step is looked up at each call, where the benchmark wraps it
             return equip_step(method.s, sys, y, h, cfg, alpha_prev, t, doubling=doubling)
-        # step with a list of times is a window
-        return step, lambda *args: step(*args, doubling=True), step
-    tab = build_tableau(method)
-    window = _window(tab, sys, cfg)
-
-    def step(y, h, t, alpha_prev=0.0):
-        return window(y, h, [t])[0]
-    return step, _attempt(tab, sys, cfg), window
+        return solve
+    return (_attempt if doubling else _window)(build_tableau(method), sys, cfg)
 
 
 def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
@@ -418,20 +402,20 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
     if not isinstance(n_steps, Integral) or n_steps < 1 or not 0.0 < h < np.inf:  # a NaN h fails
         raise ValueError("n_steps must be an integer >= 1 and h positive and finite, "
                          f"got n_steps={n_steps}, h={h}")
-    step, _, window = _stepper(method, sys, cfg)
+    window = _stepper(method, sys, cfg)
     y = _start_state(sys, y0)
-    alpha_prev, records, batch = 0.0, [], None
+    alpha_prev, records, batch, windowed = 0.0, [], None, True
     try:
         for k in range(n_steps):
-            if window and k % _WINDOW == 0:
+            if windowed and k % _WINDOW == 0:
                 try:
                     batch = window(y, h, [j * h for j in range(k, min(k + _WINDOW, n_steps))],
                                    alpha_prev)
                 except (NonConvergence, Divergence):
-                    batch = window = None  # one step at a time from here on
-                if batch and any(rec.flagged for rec in batch):
+                    batch, windowed = None, False  # one step at a time from here on
+                if batch and batch.flagged:
                     batch = None  # a flagged window's steps go one at a time
-            rec = batch[k % _WINDOW] if batch else step(y, h, k * h, alpha_prev)
+            rec = batch[k % _WINDOW] if batch else window(y, h, [k * h], alpha_prev)[0]
             records.append(rec)
             y, alpha_prev = rec.state.y, rec.alpha
     except IntegrationError as exc:
@@ -462,7 +446,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
 
     A step is accepted when err_est <= tol; the next stepsize multiplies by
     the clamped controller factor, or halves after a solver failure, which
-    includes an EQUIP attempt whose secant backed off a failed evaluation.  h is
+    includes an EQUIP attempt whose secant ended on a failed evaluation.  h is
     confined to [1e-8, stop - t] (MinStepReached when an attempt fails there)
     and the step that reaches a stop is shortened to land on it exactly.  The
     run after a stop restarts from the last unshortened step's h.
@@ -473,7 +457,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     # NaN fails every comparison, and a finite last stop bounds the others
     if not (stops and all(a < b for a, b in zip([0.0, *stops], stops)) and stops[-1] < np.inf):
         raise ValueError(f"t_stops must be finite and increase from above 0, got {t_stops}")
-    _, attempt, _ = _stepper(method, sys, cfg)
+    attempt = _stepper(method, sys, cfg, doubling=True)
     y = _start_state(sys, y0)
     t, alpha_prev, stop = 0.0, 0.0, stops[0]
     runs: list[list[StepRecord]] = []

@@ -157,6 +157,14 @@ def test_kepler_rejects_bad_eccentricity():
             kepler_reference(e, 1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_kepler_reference_rejects_non_finite_time(t):
+    # Newton cannot converge on a non-finite mean anomaly, so t is rejected
+    # before it iterates, and without a floating-point warning
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="t must be finite"):
+        kepler_reference(0.6, t)
+
+
 def test_kepler_gradient_guards_collision():
     sys, _ = kepler_system(0.6)
     healthy = [1.0, 0.0, 0.0, 1.0]

@@ -124,8 +124,13 @@ def returned_evaluation(evaluations, rec):
 
 def step_doubling_error(method, sys, y, h, cfg):
     """The controller's error estimate for one attempt of size h from y."""
-    _, attempt, _ = _stepper(method, sys, cfg)
-    return attempt(y, h, 0.0, 0.0).err_est
+    return _stepper(method, sys, cfg, doubling=True)(y, h, 0.0, 0.0).err_est
+
+
+def single_step(method, sys, cfg):
+    """step(y, h, t, alpha_prev): the fixed driver's step, a one-step window."""
+    window = _stepper(method, sys, cfg)
+    return lambda y, h, t, alpha_prev: window(y, h, [t], alpha_prev)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +447,28 @@ def test_equip_failed_stage_solve_or_non_finite_update_raises(cfg):
 
 
 def equip_backing_off(y, h, doubling=False):
-    """An EQUIP step or attempt on Kepler e = 0.6 from y, its solves' sweeps and built alphas.
+    """An EQUIP step or attempt on Kepler e = 0.6 from y, and what its evaluations did.
 
-    The sweeps are (iterations, failed) per solve, failed ones counted as
-    the sweeps they spent; the alphas are those of the tableaus built.
+    Returns (sys, rec, sweeps, built, evaluations).  The sweeps are
+    (iterations, failed) per solve, failed ones counted as the sweeps they
+    spent; built holds the alphas of the tableaus built; evaluations holds
+    per evaluation the number of tableaus built before it and its states,
+    None for one that failed.
     """
     sys, _ = kepler_system(0.6)
     sweeps, solve = [], integrator.solve_stages
     built, build = [], integrator.build_equip_tableau
+    evaluations, evaluate = [], integrator._evaluate
 
     def recorded(s, alpha):
         built.append(alpha)
         return build(s, alpha)
+
+    def evaluated(*args):
+        evaluations.append((len(built), None))
+        result = evaluate(*args)
+        evaluations[-1] = (len(built), result[0])
+        return result
 
     def counted(*args):
         try:
@@ -465,9 +480,10 @@ def equip_backing_off(y, h, doubling=False):
         return Y, iters
 
     with mock.patch.object(integrator, "solve_stages", counted), \
-            mock.patch.object(integrator, "build_equip_tableau", recorded):
+            mock.patch.object(integrator, "build_equip_tableau", recorded), \
+            mock.patch.object(integrator, "_evaluate", evaluated):
         rec = equip_step(3, sys, np.array(y, dtype=float), h, SolverConfig(), doubling=doubling)
-    return sys, rec, sweeps, built
+    return sys, rec, sweeps, built, evaluations
 
 
 @pytest.mark.parametrize("y, h, doubling", [
@@ -478,32 +494,35 @@ def equip_backing_off(y, h, doubling=False):
 ])
 def test_equip_backs_off_from_a_failed_evaluation(y, h, doubling):
     # from each of these states a secant evaluation after the first fails its
-    # stage solve; each alpha that moved goes halfway back to the best
-    # evaluation's, the step ends flagged or converged instead of raising, and
-    # the failed sweeps count in stage_iters
-    sys, rec, sweeps, built = equip_backing_off(y, h, doubling)
-    assert any(failed for _, failed in sweeps) and not sweeps[0][1]
-    if not doubling:
-        # a step builds one tableau per evaluation, and the one after a
-        # failure is at the midpoint of the failed alpha and an evaluated one
-        assert len(built) == len(sweeps)
-        for i, (_, failed) in enumerate(sweeps[:-1]):
-            evaluated = [a for a, (_, f) in zip(built[:i], sweeps) if not f]
-            assert not failed or any(built[i + 1] == (built[i] + a) / 2 for a in evaluated)
+    # stage solve.  That ends the secant: no tableau is built after it, and
+    # the record, flagged and backed_off instead of raising, is the
+    # evaluation before it of least largest |g|, with the failed sweeps
+    # counted in stage_iters
+    sys, rec, sweeps, built, evaluations = equip_backing_off(y, h, doubling)
+    assert [failed for _, failed in sweeps] == [False] * (len(sweeps) - 1) + [True]
+    assert [states is None for _, states in evaluations] == [False] * (len(sweeps) - 1) + [True]
+    assert evaluations[-1][0] == len(built)
+    H0 = float(sys.energy(np.array(y, dtype=float)))
+    worst = []
+    for _, states in evaluations[:-1]:
+        H = sys.energy(states).tolist()
+        g = [H[0] - H0, H[1] - H0, H[2] - H[1]] if doubling else [H[0] - H0]
+        worst.append(max(map(abs, g)))
+    (returned,) = [i for i, (_, states) in enumerate(evaluations) if rec.state.y.base is states]
+    assert returned == int(np.argmin(worst))
+    assert rec.flagged and rec.backed_off
     assert rec.stage_iters == sum(iters for iters, _ in sweeps)
     assert rec.alpha_iters == len(sweeps) <= SolverConfig().max_alpha_iters
-    assert np.isfinite(rec.state.y).all() and rec.state.t == h and rec.backed_off
-    gtol = SolverConfig().alpha_tol * (1 + abs(float(sys.energy(y))))
-    assert rec.flagged or abs(float(sys.energy(rec.state.y) - sys.energy(y))) <= gtol
+    assert np.isfinite(rec.state.y).all() and rec.state.t == h
 
 
 def test_equip_back_off_makes_mirror_states_alike():
     # y = (0.5, 0, 0, 1) and its mirror image in the q2 axis, which is off by
-    # 0.5 sin(pi) = 6e-17 in q2: only the mirror's secant fails an evaluation,
-    # and after backing off both end flagged at mirrored states (measured
-    # 2e-8 apart)
-    _, rec, sweeps, _ = equip_backing_off([0.5, 0.0, 0.0, 1.0], 0.125)
-    _, mirror, mirror_sweeps, _ = equip_backing_off(
+    # 0.5 sin(pi) = 6e-17 in q2: only the mirror's secant fails an evaluation
+    # (its 25th and last), and both end flagged at mirrored states (measured
+    # 1.3e-8 apart)
+    _, rec, sweeps, *_ = equip_backing_off([0.5, 0.0, 0.0, 1.0], 0.125)
+    _, mirror, mirror_sweeps, *_ = equip_backing_off(
         [0.5 * np.cos(np.pi), 0.5 * np.sin(np.pi), 0.0, 1.0], 0.125)
     assert not any(failed for _, failed in sweeps)
     assert any(failed for _, failed in mirror_sweeps)
@@ -538,14 +557,14 @@ def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg)
     # a Gauss attempt: each sweep of its one stacked solve, and the update,
     # see the full step's and both half-steps' 3n = 9 stages at once
     calls.clear()
-    _, attempt, _ = _stepper(GAUSS3, sys, cfg)
+    attempt = _stepper(GAUSS3, sys, cfg, doubling=True)
     rec = attempt(state0.y, T / 100, 0.0, 0.0)
     assert rec.stage_iters >= 2
     assert calls == [(9, 4)] * (rec.stage_iters + 1)
     # an EQUIP attempt: each evaluation is one stacked solve and one update,
     # on the three blocks' 9 stages
     calls.clear()
-    _, attempt, _ = _stepper(EQUIP3, sys, cfg)
+    attempt = _stepper(EQUIP3, sys, cfg, doubling=True)
     rec = attempt(state0.y, T / 100, 0.0, 0.0)
     assert rec.alpha_iters > 1 and not rec.flagged
     assert calls == [(9, 4)] * (rec.stage_iters + rec.alpha_iters)
@@ -581,7 +600,7 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
     # whose alpha moved
     calls.update(equip_step=0, build_equip_tableau=0)
     built.clear()
-    _, attempt, _ = _stepper(EQUIP3, sys, cfg)
+    attempt = _stepper(EQUIP3, sys, cfg, doubling=True)
     with stacked_evaluations() as (alphas, _):
         rec = attempt(state0.y, T / 100, 0.0, 0.0)
     moved = [a for old, new in zip(alphas, alphas[1:]) for a_old, a in zip(old, new) if a != a_old]
@@ -761,8 +780,8 @@ def test_windowed_equip_steps_keep_the_energy_contract(e, divisor, n_steps, budg
 
 def test_flagged_window_is_solved_again_one_step_at_a_time(monkeypatch):
     # an unreachable alpha tolerance flags every window, so each window's
-    # steps are solved again one equip_step at a time, from the window's
-    # start and alpha: the run is the equip_step loop, bit for bit, and each
+    # steps are solved again as one-step windows, from the window's start
+    # and alpha: the run is the equip_step loop, bit for bit, and each
     # window costs one call more than it has steps
     calls, step = [], integrator.equip_step
 
@@ -775,7 +794,7 @@ def test_flagged_window_is_solved_again_one_step_at_a_time(monkeypatch):
     starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=3)
     W, h, n = integrator._WINDOW, T / 100, integrator._WINDOW + 3
     recs = integrate_fixed(EQUIP3, sys, state0.y, h, n, starved)
-    assert len(calls) == 2 + n and [len(t) for t in calls if isinstance(t, list)] == [W, 3]
+    assert [len(t) for t in calls] == [W] + [1] * W + [3] + [1] * 3
     y, alpha = state0.y, 0.0
     for k, rec in enumerate(recs):
         single = step(3, sys, y, h, starved, alpha, k * h)
@@ -783,6 +802,43 @@ def test_flagged_window_is_solved_again_one_step_at_a_time(monkeypatch):
         assert dataclasses.astuple(rec)[1:] == dataclasses.astuple(single)[1:]
         assert rec.flagged and rec.alpha_iters == 3
         y, alpha = rec.state.y, rec.alpha
+
+
+def test_window_whose_later_evaluation_fails_is_solved_again_one_step_at_a_time(cfg):
+    # H is 0 at the start and 1 at every step's end, so the first step's
+    # |g| = 1 misses the tolerance and its secant takes a second evaluation,
+    # whose stage solve (field call 3) is inf: the window ends flagged and
+    # backed_off.  Its steps then run as one-step windows, which stall
+    # flagged, and the run is the equip_step loop on an untrapped copy
+    def energy(y):
+        return np.ones(np.shape(y)[:-1]) if np.ndim(y) > 1 else np.zeros(())
+
+    def lifted(traps):
+        return dataclasses.replace(trapped_system(traps), energy=energy)
+
+    y0, h = np.array([1.0, 0.0]), 0.1
+    with np.errstate(invalid="ignore"):
+        recs = equip_step(3, lifted({3}), y0, h, cfg, 0.0, [0.0, h, 2 * h])
+        assert recs.flagged and all(rec.backed_off for rec in recs)
+        assert [rec.alpha_iters for rec in recs] == [2] * 3
+        run = integrate_fixed(EQUIP3, lifted({3}), y0, h, 3, cfg)
+    y, alpha = y0, 0.0
+    for k, rec in enumerate(run):
+        single = equip_step(3, lifted(set()), y, h, cfg, alpha, k * h)
+        np.testing.assert_array_equal(rec.state.y, single.state.y)
+        assert dataclasses.astuple(rec)[1:] == dataclasses.astuple(single)[1:]
+        assert rec.flagged and not rec.backed_off
+        y, alpha = rec.state.y, rec.alpha
+
+
+@pytest.mark.parametrize("method", [GAUSS3, HBVM63], ids=str)
+def test_fixed_tableau_window_is_never_flagged(method, cfg):
+    # a Gauss or HBVM window returns the same record tuple as an EQUIP one,
+    # so the fixed driver reads its flag alike, and it has no secant to flag
+    sys, state0 = kepler_system(0.6)
+    recs = _stepper(method, sys, cfg)(state0.y, T / 100, [0.0, T / 100, T / 50], 0.0)
+    assert isinstance(recs, integrator._Records) and len(recs) == 3
+    assert not recs.flagged and not any(rec.flagged or rec.backed_off for rec in recs)
 
 
 def test_campaign_equip_errors_do_not_depend_on_the_window(monkeypatch):
@@ -828,7 +884,7 @@ def check_failed_window_runs_the_rest_one_step_at_a_time(method, cfg):
 
     trapped = dataclasses.replace(sys, force=force)
     recs = integrate_fixed(method, trapped, state0.y, h, W + 2, cfg)
-    step, _, _ = _stepper(method, sys, cfg)
+    step = single_step(method, sys, cfg)
     y, alpha = state0.y, 0.0
     for k, rec in enumerate(recs):
         single = step(y, h, k * h, alpha)
@@ -882,6 +938,12 @@ def test_drivers_reject_equip1_before_any_solve(cfg):
     # and the EQUIP step builds its tableau before it touches the problem
     with pytest.raises(ValueError, match="equip:s=1"):
         equip_step(1, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg)
+
+
+def test_equip_window_rejects_no_start_times(cfg):
+    # a window of no steps is an input error, caught before any evaluation
+    with pytest.raises(ValueError, match="at least one start time"):
+        equip_step(3, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg, 0.0, [])
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
@@ -949,7 +1011,7 @@ def test_stacked_attempt_is_the_full_step_and_two_half_steps(r, theta, p, h, met
     full = rk_step(tab, sys, y, h, cfg)
     half = rk_step(tab, sys, y, h / 2, cfg)
     last = rk_step(tab, sys, half.state.y, h / 2, cfg, h / 2)
-    _, attempt, _ = _stepper(method, sys, cfg)
+    attempt = _stepper(method, sys, cfg, doubling=True)
     rec = attempt(y, h, 0.0, 0.0)
     bound = 2 * cfg.stage_tol * (1 + np.max(np.abs(y)))
     assert (rec.state.t, rec.h, rec.alpha, rec.alpha_iters) == (h, h, 0.0, 0)
@@ -973,7 +1035,7 @@ def test_stacked_equip_attempt_is_three_sequential_equip_steps(r, theta, p, h):
     cfg = SolverConfig()
     sys, _ = kepler_system(0.6)
     y = np.array([r * np.cos(theta), r * np.sin(theta), *p])
-    step, attempt, _ = _stepper(EQUIP3, sys, cfg)
+    step, attempt = single_step(EQUIP3, sys, cfg), _stepper(EQUIP3, sys, cfg, doubling=True)
     with stacked_evaluations() as evaluations:
         try:
             rec = attempt(y, h, 0.0, 0.0)
@@ -1008,14 +1070,14 @@ def test_stacked_attempt_sweeps_no_more_than_its_full_step(monkeypatch, cfg):
     attempts = []
     stepper = integrator._stepper
 
-    def recording(method, sys, cfg):
-        step, attempt, window = stepper(method, sys, cfg)
+    def recording(method, sys, cfg, doubling=False):
+        attempt = stepper(method, sys, cfg, doubling)
 
         def recorded(y, h, t, alpha_prev):
             rec = attempt(y, h, t, alpha_prev)
             attempts.append((y, h, rec.stage_iters))
             return rec
-        return step, recorded, window
+        return recorded
 
     monkeypatch.setattr(integrator, "_stepper", recording)
     sys, state0 = kepler_system(0.6)
@@ -1090,9 +1152,10 @@ def test_adaptive_halves_h_after_non_finite_update(method, cfg, first_h):
 
 
 def test_adaptive_halves_h_after_an_attempt_backs_off(cfg, monkeypatch):
-    # from this state the EQUIP attempt of h = 0.25 backs off a failed
-    # evaluation and ends with err_est 3.5e-6, which tol 1e-5 would accept;
-    # the controller retries it at h / 2, as after a solve that raised
+    # from this state the EQUIP attempt of h = 0.25 ends its secants on a
+    # failed evaluation, backed off, with err_est 3.5e-6, which tol 1e-5
+    # would accept; the controller retries it at h / 2, as after a solve
+    # that raised
     sys, _ = kepler_system(0.6)
     y0 = np.array([0.5, 0.0, 0.0758, 1.0])
     rec = equip_step(3, sys, y0, 0.25, cfg, doubling=True)
@@ -1135,8 +1198,9 @@ def test_drift_campaign_stacked_attempts_keep_every_step_for_fewer_sweeps(drift_
     # separate solves took 25,204 and 20,857 for the same steps; EQUIP's
     # stacked attempts are pinned exactly (its three sequential steps took
     # 77,849 stage iterations and 16,565 evaluations), with none flagged.
-    # Near periapsis three attempts back off a failed evaluation, and the
-    # controller halves h after each of them as after a solve that raised
+    # Near periapsis three attempts end their secants on a failed
+    # evaluation, and the controller halves h after each of them as after a
+    # solve that raised
     _, _, data = drift_campaign
 
     def totals(method):

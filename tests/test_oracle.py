@@ -208,7 +208,7 @@ def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
     # HBVM, one per secant evaluation for EQUIP) against the mp full step and
     # two half-steps, each EQUIP one at the alpha its block ended on
     with stacked_evaluations() as evaluations:
-        step, attempt, _ = _stepper(spec, KEPLER, CFG)
+        window, attempt = _stepper(spec, KEPLER, CFG), _stepper(spec, KEPLER, CFG, doubling=True)
         try:
             rec = attempt(y, h, 0.0, 0.0)
         except (NonConvergence, Divergence):
@@ -216,9 +216,9 @@ def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
             # the fixed-point iteration; the attempt may fail only where the
             # three steps it stands for fail too
             with pytest.raises((NonConvergence, Divergence)):
-                step(y, h, 0.0, 0.0)
-                half = step(y, h / 2, 0.0, 0.0)
-                step(half.state.y, h / 2, h / 2, half.alpha)
+                window(y, h, [0.0], 0.0)
+                (half,) = window(y, h / 2, [0.0], 0.0)
+                window(half.state.y, h / 2, [h / 2], half.alpha)
             reject()
     assert len(evaluations[0]) == (rec.alpha_iters if spec.kind == "equip" else 1)
     (a_full, a_half, a_last), _ = returned_evaluation(evaluations, rec)
