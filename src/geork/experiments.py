@@ -95,6 +95,8 @@ def fit_order(samples) -> tuple[float, float]:
         raise ValueError(f"need at least 3 samples to fit an order, got {len(samples)}")
     if not all(0.0 < x < math.inf for sample in samples for x in sample):  # NaN fails too
         raise ValueError("all stepsizes and errors must be positive and finite for a log-log fit")
+    if len({h for h, _ in samples}) < 2:
+        raise ValueError("need at least 2 distinct stepsizes to fit an order")
     log_h = np.log([h for h, _ in samples])
     log_e = np.log([err for _, err in samples])
     slope, intercept = np.polyfit(log_h, log_e, 1)

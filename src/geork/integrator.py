@@ -14,13 +14,13 @@ on a linear problem that squares the plain sweep's contraction factor.
 EQUIP wraps the solve in a secant iteration per block that tunes alpha until
 each step conserves the energy, the secants of a window or an attempt in
 lockstep; each evaluation after the first starts from the previous one's
-stages.  On a stall, a spent budget or a failed evaluation after the first
-(which marks the record backed_off) the steps take the evaluated alphas of
-least energy change, flagged; a flagged window's steps are solved again one
-at a time.  A failed first evaluation, like any failed stage solve or
-non-finite result of Gauss or HBVM, raises out of the step or window.
-After a failed window the run goes on step by step; only the adaptive
-driver changes h, with context, also after an attempt backed off.
+stages.  On a stall, a spent budget or, in a step or window, a failed
+evaluation after the first, the steps take the evaluated alphas of least
+energy change, flagged; a flagged window's steps are solved again one at a
+time.  A failed first evaluation, any failed evaluation of an attempt, and
+any failed stage solve or non-finite result of Gauss or HBVM raise out of
+the step, window or attempt.  After a failed window the run goes on step by
+step; only the adaptive driver changes h, with context.
 """
 
 from __future__ import annotations
@@ -98,12 +98,11 @@ class StepRecord:
     """One accepted step; alpha is 0 for non-EQUIP methods.
 
     ``flagged`` marks EQUIP steps whose secant stopped short of energy
-    conservation, and ``backed_off`` those whose secant ended on a failed
-    evaluation after the first, which are flagged too; ``err_est`` is set in
-    adaptive mode only.  An EQUIP attempt's alpha is its last half-step's,
-    and alpha_iters counts its stacked evaluations.
-    A step solved in a window of fixed steps has the window's sweep count as
-    its stage_iters, and for EQUIP the window's evaluations as its alpha_iters.
+    conservation; ``err_est`` is set in adaptive mode only.  An EQUIP
+    attempt's alpha is its last half-step's, and alpha_iters counts its
+    stacked evaluations.  A step solved in a window of fixed steps has the
+    window's sweep count as its stage_iters, and for EQUIP the window's
+    evaluations as its alpha_iters.
     """
 
     state: State
@@ -113,7 +112,6 @@ class StepRecord:
     alpha_iters: int
     err_est: float | None = None
     flagged: bool = False
-    backed_off: bool = False
 
 
 def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
@@ -224,15 +222,9 @@ def _evaluate(A: np.ndarray, b: np.ndarray, links, sys: HamiltonianSystem, y: np
     return states, Y, iters
 
 
-def _record(states, t: float, h: float, order: int, alpha: float, stage_iters: int,
-            alpha_iters: int = 0, flagged: bool = False, backed_off: bool = False) -> StepRecord:
-    """The record ending at states[-1]; an attempt's err_est is |full - last|_inf / (2^p - 1)."""
-    # without local extrapolation: the raw two-half-step value keeps the conservation character
-    err_est = None if len(states) == 1 else \
-        float(abs(states[0] - states[-1]).max()) / (2.0 ** order - 1.0)
-    return StepRecord(state=State(t=t + h, y=states[-1]), h=h, alpha=alpha,
-                      stage_iters=stage_iters, alpha_iters=alpha_iters,
-                      err_est=err_est, flagged=flagged, backed_off=backed_off)
+def _chains(tabs, doubling: bool):
+    """_stack's chains: a window of len(tabs) steps, or an attempt's full step and its halves."""
+    return [(tabs[:1], 1.0), (tabs[1:], 0.5)] if doubling else [(tabs, 1.0)]
 
 
 class _Records(tuple):
@@ -243,41 +235,48 @@ class _Records(tuple):
         return any(rec.flagged for rec in self)
 
 
-def _window(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
-    """run(y, h, ts, alpha_prev=0.0): the _Records of len(ts) fixed steps from the times ts.
+def _records(states, t, h: float, order: int, alphas, stage_iters: int, alpha_iters: int = 0,
+             flags=None, doubling: bool = False):
+    """The _Records of a window's steps from the times t, or an attempt's record from t.
 
-    The steps are one solve, and one time is one step.  Every record carries
-    the solve's sweep count.  A window length's stacked system and its sweep
-    matrices at h are built on their first use and kept.
+    alphas and flags (None for none) are per block.  An attempt has the last block's state and
+    alpha, is flagged when any block is, and has err_est = |full - last|_inf / (2^p - 1).
     """
-    systems = {}
-
-    def run(y, h, ts, alpha_prev=0.0):
-        key = len(ts), h
-        if key not in systems:
-            A, b, links = _stack([([tab] * len(ts), 1.0)])
-            systems[key] = A, b, links, _sweep_matrices(A, h)
-        A, b, links, matrices = systems[key]
-        states, _, iters = _evaluate(A, b, links, sys, y, h, cfg, None, matrices)
-        return _Records(_record(states[i:i + 1], t, h, tab.order, tab.alpha, iters)
-                        for i, t in enumerate(ts))
-    return run
+    flags = flags or [False] * len(states)
+    if doubling:
+        # without local extrapolation: the raw two-half-step value keeps the conservation character
+        err_est = float(abs(states[0] - states[-1]).max()) / (2.0 ** order - 1.0)
+        return StepRecord(State(t=t + h, y=states[-1]), h, alphas[-1], stage_iters, alpha_iters,
+                          err_est, any(flags))
+    return _Records(StepRecord(State(t=t_i + h, y=states[i]), h, alphas[i], stage_iters,
+                               alpha_iters, flagged=flags[i]) for i, t_i in enumerate(t))
 
 
-def _attempt(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig):
-    """run(y, h, t, alpha_prev=0.0): a fixed tableau's step-doubling attempt, as one solve."""
-    A, b, links = _stack([([tab], 1.0), ([tab, tab], 0.5)])
+def _fixed(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig, doubling: bool = False):
+    """run(y, h, t, alpha_prev=0.0): a fixed tableau's window or attempt from t, as one solve.
+
+    A window's t holds its start times, and it returns _Records that carry the solve's sweep
+    count; with doubling t is one time, and run returns the attempt's StepRecord.  A shape's
+    stacked system is kept from its first use, and its sweep matrices while h stays the same.
+    """
+    systems, matrices = {}, {}  # per number of blocks; matrices holds (h, matrices at h)
 
     def run(y, h, t, alpha_prev=0.0):
-        states, _, iters = _evaluate(A, b, links, sys, y, h, cfg)
-        return _record(states, t, h, tab.order, tab.alpha, iters)
+        k = 3 if doubling else len(t)
+        if k not in systems:
+            systems[k] = _stack(_chains([tab] * k, doubling))
+        A, b, links = systems[k]
+        if matrices.get(k, (None,))[0] != h:
+            matrices[k] = h, _sweep_matrices(A, h)
+        states, _, iters = _evaluate(A, b, links, sys, y, h, cfg, None, matrices[k][1])
+        return _records(states, t, h, tab.order, [tab.alpha] * k, iters, doubling=doubling)
     return run
 
 
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, cfg: SolverConfig, t: float = 0.0) -> StepRecord:
     """One step of the tableau's method from (t, y) to (t + h, y_next)."""
-    return _window(tab, sys, cfg)(y, h, [t])[0]
+    return _fixed(tab, sys, cfg)(_start_state(sys, y), h, [t])[0]
 
 
 def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> float:
@@ -290,48 +289,46 @@ def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> fl
 
 
 def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: SolverConfig,
-               alpha_prev: float = 0.0, t: float | list[float] = 0.0, *,
-               doubling: bool = False) -> StepRecord | _Records:
+               alpha_prev: float = 0.0, t=0.0, *, doubling: bool = False) -> StepRecord | _Records:
     """EQUIP step, window or step-doubling attempt: tune alpha so H is kept.
 
     The secant on g(alpha) = H(y_next(alpha)) - H(y) starts from alpha_prev.
-    With a non-empty list of start times t, the call is a window of len(t)
-    consecutive fixed steps, solved as one stacked system, and returns their
-    records as a tuple whose ``flagged`` is true when any record is; with
-    doubling it is a step-doubling attempt.  Each block of a stacked system
-    has its own alpha and secant, all in lockstep, on the energy change from
-    the state the block starts from: H(y_i) - H(y_i-1) for a window's steps,
-    and H(full) - H(y), H(half) - H(y) and H(last) - H(half) for an attempt.
-    A block whose |g| meets the tolerance keeps its alpha while it does, and
-    the solve ends when all meet it at once.  On a stall, a spent budget or
-    an evaluation after the first that fails its stage solve or update, the
+    One start time t is a step, with doubling a step-doubling attempt; a
+    sequence of start times is a window of len(t) fixed steps, whose records
+    come back as a tuple whose ``flagged`` is true when any record is.  Each
+    block of the stacked system has its own alpha and secant, all in
+    lockstep, on the energy change from the state the block starts from:
+    H(y_i) - H(y_i-1) for a window's steps, and H(full) - H(y), H(half) - H(y)
+    and H(last) - H(half) for an attempt.  A block whose |g| meets the
+    tolerance keeps its alpha while it does, and the solve ends when all meet
+    it at once.  On a stall, a spent budget or, in a step or window, an
+    evaluation after the first that fails its stage solve or update, the
     evaluation of least largest |g| is returned, its blocks outside the
-    tolerance flagged, counting all the work spent, failed sweeps included;
-    after a failure the records are also ``backed_off``.  H(y) is taken
-    after the first stage solve succeeds, which has evaluated the field at
-    y, so a y outside the field's domain fails as a Divergence before any
-    energy evaluation; a failed first evaluation raises.
+    tolerance flagged, counting all the work spent, failed sweeps included.
+    H(y) is taken after the first stage solve succeeds, which has evaluated
+    the field at y, so a y outside the field's domain fails as a Divergence
+    before any energy evaluation.  A failed first evaluation raises, as does
+    any failed evaluation of an attempt, whose driver can reduce h.
     """
-    ts = t if isinstance(t, list) else [t]
-    if not ts:
-        raise ValueError("a window needs at least one start time, got t=[]")
+    ts = t if np.ndim(t) else [t]
+    if np.ndim(t) > (0 if doubling else 1) or not len(ts):
+        raise ValueError("t must be one start time, or a window of at least one start time; "
+                         f"got t={t!r}")
     k = 3 if doubling else len(ts)
     tabs = [build_equip_tableau(s, alpha_prev)] * k
     alpha, alpha_old, g_old = [tabs[0].alpha] * k, [None] * k, [0.0] * k
-    stage_iters, Y, backed_off = 0, None, False
+    stage_iters, Y = 0, None
     for evals in range(1, cfg.max_alpha_iters + 1):
         for i, a in enumerate(alpha):  # a block's tableau is rebuilt only when its alpha moved
             if tabs[i].alpha != a:
                 tabs[i] = build_equip_tableau(s, a)
-        # a window is one chain; an attempt chains its two half-steps after its full step
-        A, b, links = _stack([(tabs[:1], 1.0), (tabs[1:], 0.5)] if doubling else [(tabs, 1.0)])
+        A, b, links = _stack(_chains(tabs, doubling))
         try:
             states, Y, iters = _evaluate(A, b, links, sys, y, h, cfg, Y)
         except (NonConvergence, Divergence) as exc:
-            if evals == 1:
+            if evals == 1 or doubling:
                 raise
             stage_iters += exc.sweeps
-            backed_off = True  # flagged too: no evaluation so far met gtol
             break
         stage_iters += iters
         if evals == 1:
@@ -353,14 +350,9 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
             break
         for i, a in moved.items():
             alpha_old[i], g_old[i], alpha[i] = alpha[i], g[i], a
-    if doubling:
-        return _record(best, t, h, tabs[0].order, best_alpha[-1], stage_iters, evals,
-                       flagged=not best_worst <= gtol, backed_off=backed_off)
-    records = _Records(
-        _record(best[i:i + 1], t_i, h, tabs[0].order, best_alpha[i], stage_iters, evals,
-                flagged=not abs(best_g[i]) <= gtol, backed_off=backed_off)
-        for i, t_i in enumerate(ts))
-    return records if isinstance(t, list) else records[0]
+    records = _records(best, t if doubling else ts, h, tabs[0].order, best_alpha, stage_iters,
+                       evals, [not abs(g_i) <= gtol for g_i in best_g], doubling)
+    return records if doubling or np.ndim(t) else records[0]
 
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig,
@@ -377,7 +369,7 @@ def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig,
             # integrator.equip_step is looked up at each call, where the benchmark wraps it
             return equip_step(method.s, sys, y, h, cfg, alpha_prev, t, doubling=doubling)
         return solve
-    return (_attempt if doubling else _window)(build_tableau(method), sys, cfg)
+    return _fixed(build_tableau(method), sys, cfg, doubling)
 
 
 def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
@@ -446,7 +438,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
 
     A step is accepted when err_est <= tol; the next stepsize multiplies by
     the clamped controller factor, or halves after a solver failure, which
-    includes an EQUIP attempt whose secant ended on a failed evaluation.  h is
+    includes a failed evaluation anywhere in an EQUIP attempt's secant.  h is
     confined to [1e-8, stop - t] (MinStepReached when an attempt fails there)
     and the step that reaches a stop is shortened to land on it exactly.  The
     run after a stop restarts from the last unshortened step's h.
@@ -473,8 +465,6 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
                     info = attempt(y, h, t, alpha_prev)
                 except (NonConvergence, Divergence):
                     info = None
-                if info is not None and info.backed_off:
-                    info = None  # a smaller h is the controller's own way back
                 if info is not None and info.err_est <= tol:
                     y, alpha_prev = info.state.y, info.alpha
                     t = stop if lands_on_stop else t + h

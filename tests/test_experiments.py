@@ -63,6 +63,12 @@ def test_fit_order_rejects_bad_input(capfd):
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="positive and finite"):
                     fit_order([(0.1, 1e-3), sample, (0.025, 1e-5)])
+    # one stepsize repeated has no slope: rejected before the fit, which
+    # would warn and print LAPACK errors on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="2 distinct stepsizes"):
+            fit_order([(0.1, 1e-3), (0.1, 1e-4), (0.1, 1e-5)])
     assert capfd.readouterr().err == ""
 
 

@@ -18,6 +18,7 @@ from geork.experiments import convergence_study, run_adaptive_periods
 from geork.integrator import (
     H_MIN,
     Divergence,
+    IntegrationError,
     MinStepReached,
     NonConvergence,
     SolverConfig,
@@ -449,11 +450,12 @@ def test_equip_failed_stage_solve_or_non_finite_update_raises(cfg):
 def equip_backing_off(y, h, doubling=False):
     """An EQUIP step or attempt on Kepler e = 0.6 from y, and what its evaluations did.
 
-    Returns (sys, rec, sweeps, built, evaluations).  The sweeps are
-    (iterations, failed) per solve, failed ones counted as the sweeps they
-    spent; built holds the alphas of the tableaus built; evaluations holds
-    per evaluation the number of tableaus built before it and its states,
-    None for one that failed.
+    Returns (sys, rec, sweeps, built, evaluations).  rec is the record, or
+    the IntegrationError the call raised.  The sweeps are (iterations,
+    failed) per solve, failed ones counted as the sweeps they spent; built
+    holds the alphas of the tableaus built; evaluations holds per evaluation
+    the number of tableaus built before it and its states, None for one that
+    failed.
     """
     sys, _ = kepler_system(0.6)
     sweeps, solve = [], integrator.solve_stages
@@ -482,7 +484,10 @@ def equip_backing_off(y, h, doubling=False):
     with mock.patch.object(integrator, "solve_stages", counted), \
             mock.patch.object(integrator, "build_equip_tableau", recorded), \
             mock.patch.object(integrator, "_evaluate", evaluated):
-        rec = equip_step(3, sys, np.array(y, dtype=float), h, SolverConfig(), doubling=doubling)
+        try:
+            rec = equip_step(3, sys, np.array(y, dtype=float), h, SolverConfig(), doubling=doubling)
+        except IntegrationError as exc:
+            rec = exc
     return sys, rec, sweeps, built, evaluations
 
 
@@ -494,14 +499,18 @@ def equip_backing_off(y, h, doubling=False):
 ])
 def test_equip_backs_off_from_a_failed_evaluation(y, h, doubling):
     # from each of these states a secant evaluation after the first fails its
-    # stage solve.  That ends the secant: no tableau is built after it, and
-    # the record, flagged and backed_off instead of raising, is the
-    # evaluation before it of least largest |g|, with the failed sweeps
-    # counted in stage_iters
+    # stage solve.  That ends the secant: no tableau is built after it.  An
+    # attempt raises, so that its driver reduces h; a step's record, flagged
+    # instead of raising, is the evaluation before it of least largest |g|,
+    # with the failed sweeps counted in stage_iters
     sys, rec, sweeps, built, evaluations = equip_backing_off(y, h, doubling)
+    assert len(sweeps) > 1
     assert [failed for _, failed in sweeps] == [False] * (len(sweeps) - 1) + [True]
     assert [states is None for _, states in evaluations] == [False] * (len(sweeps) - 1) + [True]
     assert evaluations[-1][0] == len(built)
+    if doubling:
+        assert isinstance(rec, NonConvergence)
+        return
     H0 = float(sys.energy(np.array(y, dtype=float)))
     worst = []
     for _, states in evaluations[:-1]:
@@ -510,7 +519,7 @@ def test_equip_backs_off_from_a_failed_evaluation(y, h, doubling):
         worst.append(max(map(abs, g)))
     (returned,) = [i for i, (_, states) in enumerate(evaluations) if rec.state.y.base is states]
     assert returned == int(np.argmin(worst))
-    assert rec.flagged and rec.backed_off
+    assert rec.flagged
     assert rec.stage_iters == sum(iters for iters, _ in sweeps)
     assert rec.alpha_iters == len(sweeps) <= SolverConfig().max_alpha_iters
     assert np.isfinite(rec.state.y).all() and rec.state.t == h
@@ -526,7 +535,6 @@ def test_equip_back_off_makes_mirror_states_alike():
         [0.5 * np.cos(np.pi), 0.5 * np.sin(np.pi), 0.0, 1.0], 0.125)
     assert not any(failed for _, failed in sweeps)
     assert any(failed for _, failed in mirror_sweeps)
-    assert (rec.backed_off, mirror.backed_off) == (False, True)
     assert rec.flagged == mirror.flagged
     np.testing.assert_allclose(mirror.state.y * [-1, 1, -1, 1], rec.state.y, rtol=0, atol=1e-6)
 
@@ -807,9 +815,10 @@ def test_flagged_window_is_solved_again_one_step_at_a_time(monkeypatch):
 def test_window_whose_later_evaluation_fails_is_solved_again_one_step_at_a_time(cfg):
     # H is 0 at the start and 1 at every step's end, so the first step's
     # |g| = 1 misses the tolerance and its secant takes a second evaluation,
-    # whose stage solve (field call 3) is inf: the window ends flagged and
-    # backed_off.  Its steps then run as one-step windows, which stall
-    # flagged, and the run is the equip_step loop on an untrapped copy
+    # whose stage solve (field call 3) is inf: the window ends with its first
+    # evaluation, the first step flagged.  Its steps then run as one-step
+    # windows, which stall flagged, and the run is the equip_step loop on an
+    # untrapped copy
     def energy(y):
         return np.ones(np.shape(y)[:-1]) if np.ndim(y) > 1 else np.zeros(())
 
@@ -819,7 +828,7 @@ def test_window_whose_later_evaluation_fails_is_solved_again_one_step_at_a_time(
     y0, h = np.array([1.0, 0.0]), 0.1
     with np.errstate(invalid="ignore"):
         recs = equip_step(3, lifted({3}), y0, h, cfg, 0.0, [0.0, h, 2 * h])
-        assert recs.flagged and all(rec.backed_off for rec in recs)
+        assert [rec.flagged for rec in recs] == [True, False, False] and recs.flagged
         assert [rec.alpha_iters for rec in recs] == [2] * 3
         run = integrate_fixed(EQUIP3, lifted({3}), y0, h, 3, cfg)
     y, alpha = y0, 0.0
@@ -827,7 +836,7 @@ def test_window_whose_later_evaluation_fails_is_solved_again_one_step_at_a_time(
         single = equip_step(3, lifted(set()), y, h, cfg, alpha, k * h)
         np.testing.assert_array_equal(rec.state.y, single.state.y)
         assert dataclasses.astuple(rec)[1:] == dataclasses.astuple(single)[1:]
-        assert rec.flagged and not rec.backed_off
+        assert rec.flagged
         y, alpha = rec.state.y, rec.alpha
 
 
@@ -838,7 +847,31 @@ def test_fixed_tableau_window_is_never_flagged(method, cfg):
     sys, state0 = kepler_system(0.6)
     recs = _stepper(method, sys, cfg)(state0.y, T / 100, [0.0, T / 100, T / 50], 0.0)
     assert isinstance(recs, integrator._Records) and len(recs) == 3
-    assert not recs.flagged and not any(rec.flagged or rec.backed_off for rec in recs)
+    assert not recs.flagged and not any(rec.flagged for rec in recs)
+
+
+@pytest.mark.parametrize("method", [GAUSS3, HBVM63], ids=str)
+def test_fixed_solver_keeps_its_systems_bit_for_bit(method, cfg):
+    # one closure keeps each shape's stacked system, and its sweep matrices
+    # while h stays the same: moving h or the window length and back gives
+    # the records of fresh closures, bit for bit
+    sys, state0 = kepler_system(0.6)
+    tab, y, W, h1, h2 = build_tableau(method), state0.y, integrator._WINDOW, T / 100, T / 70
+
+    def assert_same(kept, fresh):
+        np.testing.assert_array_equal(kept.state.y, fresh.state.y)
+        assert dataclasses.astuple(kept)[1:] == dataclasses.astuple(fresh)[1:]
+
+    attempt = integrator._fixed(tab, sys, cfg, doubling=True)
+    for h in (h1, h2, h1):
+        assert_same(attempt(y, h, 0.5), integrator._fixed(tab, sys, cfg, doubling=True)(y, h, 0.5))
+    window = integrator._fixed(tab, sys, cfg)
+    for h, n in ((h1, W), (h1, 3), (h2, W), (h1, 3), (h1, W)):
+        ts = [k * h for k in range(n)]
+        kept, fresh = window(y, h, ts), integrator._fixed(tab, sys, cfg)(y, h, ts)
+        assert len(kept) == len(fresh) == n
+        for a, b in zip(kept, fresh):
+            assert_same(a, b)
 
 
 def test_campaign_equip_errors_do_not_depend_on_the_window(monkeypatch):
@@ -944,6 +977,38 @@ def test_equip_window_rejects_no_start_times(cfg):
     # a window of no steps is an input error, caught before any evaluation
     with pytest.raises(ValueError, match="at least one start time"):
         equip_step(3, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg, 0.0, [])
+
+
+def test_equip_step_reads_t_by_its_dimension(cfg):
+    # one start time is a step and a sequence of them, of any kind, a window
+    sys, state0 = kepler_system(0.6)
+    h = T / 100
+    listed = equip_step(3, sys, state0.y, h, cfg, 0.0, [0.0, h])
+    for t in (np.array([0.0, h]), (0.0, h)):
+        recs = equip_step(3, sys, state0.y, h, cfg, 0.0, t)
+        assert isinstance(recs, integrator._Records) and len(recs) == 2
+        for rec, ref in zip(recs, listed):
+            np.testing.assert_array_equal(rec.state.y, ref.state.y)
+            assert rec.state.t == ref.state.t and np.ndim(rec.state.t) == 0
+    rec = equip_step(3, sys, state0.y, h, cfg, 0.0, np.array(0.0))
+    np.testing.assert_array_equal(rec.state.y, equip_step(3, sys, state0.y, h, cfg).state.y)
+    assert rec.state.t == h and np.ndim(rec.state.t) == 0
+    # anything more, or a sequence for an attempt, is an input error caught
+    # before any evaluation
+    for t, doubling in [(np.zeros((2, 1)), False), ([0.0], True), ((0.0, h), True),
+                        (np.zeros(1), True), ([[0.0]], True)]:
+        with pytest.raises(ValueError, match="one start time"):
+            equip_step(3, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg, 0.0, t,
+                       doubling=doubling)
+
+
+@pytest.mark.parametrize("y", [np.zeros(3), np.zeros((1, 2)), np.zeros((2, 2)), [1.0, np.nan]],
+                         ids=["3", "1x2", "2x2", "nan"])
+def test_rk_step_checks_its_state_as_the_drivers_do(y, cfg):
+    # a wrongly shaped state used to fail inside the stage solve, on a
+    # NumPy broadcast error
+    with pytest.raises(ValueError, match=r"finite with shape \(2,\)"):
+        rk_step(build_gauss(3), untouchable_system(), y, 0.1, cfg)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
@@ -1152,18 +1217,16 @@ def test_adaptive_halves_h_after_non_finite_update(method, cfg, first_h):
 
 
 def test_adaptive_halves_h_after_an_attempt_backs_off(cfg, monkeypatch):
-    # from this state the EQUIP attempt of h = 0.25 ends its secants on a
-    # failed evaluation, backed off, with err_est 3.5e-6, which tol 1e-5
-    # would accept; the controller retries it at h / 2, as after a solve
-    # that raised
+    # from this state an evaluation after the first of the EQUIP attempt of
+    # h = 0.25 fails its stage solve, and the attempt raises; the controller
+    # retries it at h / 2
     sys, _ = kepler_system(0.6)
     y0 = np.array([0.5, 0.0, 0.0758, 1.0])
-    rec = equip_step(3, sys, y0, 0.25, cfg, doubling=True)
-    assert rec.backed_off and rec.err_est <= 1e-5
+    with pytest.raises(NonConvergence, match=r"h=0\.25\)"):
+        equip_step(3, sys, y0, 0.25, cfg, doubling=True)
     monkeypatch.setattr(integrator, "initial_stepsize", lambda sys, y0: 0.25)
     (recs,) = integrate_adaptive(EQUIP3, sys, y0, [0.25], 1e-5, cfg)
     assert recs[0].h == 0.125 and recs[-1].state.t == 0.25
-    assert not any(r.backed_off for r in recs)
 
 
 def test_adaptive_determinism(cfg):
