@@ -4,8 +4,9 @@ Every step and step-doubling attempt, of every method, is one solve of a
 stacked stage system Y_i = y + h sum_j a_ij f(Y_j) and one field call for
 its updates.  Consecutive steps are one step of their composed tableau, so
 a step is the 1-block case, a fixed run solves _WINDOW steps at a time, and
-an attempt is the 3-block case of the full step and the two half-steps,
-with err_est = |full - last|_inf / (2^p - 1).  The solve is a
+an attempt is the 3-block case of the full step and the two half-steps.  A
+solve returns its per-block states, alphas and flags as a _Solve, and the
+drivers and rk_step stamp the times and make the records.  The solve is a
 fixed-point iteration, which preserves the tableau exactly and is
 contractive at the benchmark stepsizes.  As H = |p|^2/2 + V(q),
 f(Q, P) = (P, F(Q)), and each sweep is partitioned: P = p + hA F(Q) from the
@@ -26,8 +27,9 @@ step; only the adaptive driver changes h, with context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,14 +97,12 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One accepted step; alpha is 0 for non-EQUIP methods.
+    """One accepted step, made by a driver from a _Solve; alpha is 0 for non-EQUIP methods.
 
     ``flagged`` marks EQUIP steps whose secant stopped short of energy
-    conservation; ``err_est`` is set in adaptive mode only.  An EQUIP
-    attempt's alpha is its last half-step's, and alpha_iters counts its
-    stacked evaluations.  A step solved in a window of fixed steps has the
-    window's sweep count as its stage_iters, and for EQUIP the window's
-    evaluations as its alpha_iters.
+    conservation; ``err_est`` is set in adaptive mode only.  An attempt's
+    record is its last half-step's, with the attempt's sweeps and
+    evaluations; a step of a window has the window's.
     """
 
     state: State
@@ -172,31 +172,31 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
         raise
 
 
-def _stack(chains) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(A, b, links) of chains of consecutive steps as one stacked system.
+def _stack(tabs, doubling: bool = False) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(A, b, links) of a step per tableau in tabs as one stacked system.
 
-    chains holds (tableaus, c) pairs, a step of c h per tableau.  Step i of a
+    The steps form chains of consecutive steps of c h: a window of
+    len(tabs) steps is one chain with c = 1, and with doubling an attempt is
+    the full step, c = 1, and the two half-steps, c = 1/2.  Step i of a
     chain starts from the chain's start plus the increments of the steps
     before it, so its block row is c [1 b^T, ..., 1 b^T, A_i, 0, ...] and its
     weights are c b; b comes back as the (steps, 1, n) block weights, and
-    links lists the steps that go on from the step before.  A step is
-    [([tab], 1)], a window of W fixed steps [([tab] * W, 1)], and an attempt
-    the full step and the two half-steps, [([tab], 1), ([tab, tab], 1/2)].
+    links lists the steps that go on from the step before.
     """
-    steps = [tab for tabs, _ in chains for tab in tabs]
-    b, k, n = steps[0].b, len(steps), len(steps[0].b)
+    chains = [(tabs[:1], 1.0), (tabs[1:], 0.5)] if doubling else [(tabs, 1.0)]
+    b, k, n = tabs[0].b, len(tabs), len(tabs[0].b)
     # A[i, :, j] is block (i, j)
     A, scale, links, first = np.zeros((k, n, k, n)), [], [], 0
-    for tabs, c in chains:
-        for i, tab in enumerate(tabs, first):
+    for chain, c in chains:
+        for i, tab in enumerate(chain, first):
             if i > first:  # an empty assignment is still a NumPy call
                 A[i, :, first:i] = b
             A[i, :, i] = tab.A
         if c != 1.0:
-            A[first:first + len(tabs)] *= c
-        scale += [c] * len(tabs)
-        links += range(first + 1, first + len(tabs))
-        first += len(tabs)
+            A[first:first + len(chain)] *= c
+        scale += [c] * len(chain)
+        links += range(first + 1, first + len(chain))
+        first += len(chain)
     return A.reshape(k * n, k * n), np.multiply.outer(scale, b)[:, None], links
 
 
@@ -222,61 +222,45 @@ def _evaluate(A: np.ndarray, b: np.ndarray, links, sys: HamiltonianSystem, y: np
     return states, Y, iters
 
 
-def _chains(tabs, doubling: bool):
-    """_stack's chains: a window of len(tabs) steps, or an attempt's full step and its halves."""
-    return [(tabs[:1], 1.0), (tabs[1:], 0.5)] if doubling else [(tabs, 1.0)]
+class _Solve(NamedTuple):
+    """A solve's per-block states, alphas and flags, and its sweeps and EQUIP evaluations."""
 
-
-class _Records(tuple):
-    """The records of a window of fixed steps, of any method; flagged when any of them is."""
+    states: np.ndarray
+    alphas: list
+    flags: list
+    stage_iters: int
+    alpha_iters: int = 0
 
     @property
     def flagged(self) -> bool:
-        return any(rec.flagged for rec in self)
-
-
-def _records(states, t, h: float, order: int, alphas, stage_iters: int, alpha_iters: int = 0,
-             flags=None, doubling: bool = False):
-    """The _Records of a window's steps from the times t, or an attempt's record from t.
-
-    alphas and flags (None for none) are per block.  An attempt has the last block's state and
-    alpha, is flagged when any block is, and has err_est = |full - last|_inf / (2^p - 1).
-    """
-    flags = flags or [False] * len(states)
-    if doubling:
-        # without local extrapolation: the raw two-half-step value keeps the conservation character
-        err_est = float(abs(states[0] - states[-1]).max()) / (2.0 ** order - 1.0)
-        return StepRecord(State(t=t + h, y=states[-1]), h, alphas[-1], stage_iters, alpha_iters,
-                          err_est, any(flags))
-    return _Records(StepRecord(State(t=t_i + h, y=states[i]), h, alphas[i], stage_iters,
-                               alpha_iters, flagged=flags[i]) for i, t_i in enumerate(t))
+        return any(self.flags)
 
 
 def _fixed(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig, doubling: bool = False):
-    """run(y, h, t, alpha_prev=0.0): a fixed tableau's window or attempt from t, as one solve.
+    """run(y, h, steps, alpha_prev=0.0): a window's _Solve, or with doubling an attempt's.
 
-    A window's t holds its start times, and it returns _Records that carry the solve's sweep
-    count; with doubling t is one time, and run returns the attempt's StepRecord.  A shape's
-    stacked system is kept from its first use, and its sweep matrices while h stays the same.
+    A shape's stacked system is kept from its first use, and its sweep
+    matrices while h stays the same.
     """
     systems, matrices = {}, {}  # per number of blocks; matrices holds (h, matrices at h)
 
-    def run(y, h, t, alpha_prev=0.0):
-        k = 3 if doubling else len(t)
+    def run(y, h, steps, alpha_prev=0.0):
+        k = 3 if doubling else steps
         if k not in systems:
-            systems[k] = _stack(_chains([tab] * k, doubling))
+            systems[k] = _stack([tab] * k, doubling)
         A, b, links = systems[k]
         if matrices.get(k, (None,))[0] != h:
             matrices[k] = h, _sweep_matrices(A, h)
         states, _, iters = _evaluate(A, b, links, sys, y, h, cfg, None, matrices[k][1])
-        return _records(states, t, h, tab.order, [tab.alpha] * k, iters, doubling=doubling)
+        return _Solve(states, [tab.alpha] * k, [False] * k, iters)
     return run
 
 
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, cfg: SolverConfig, t: float = 0.0) -> StepRecord:
     """One step of the tableau's method from (t, y) to (t + h, y_next)."""
-    return _fixed(tab, sys, cfg)(_start_state(sys, y), h, [t])[0]
+    sol = _fixed(tab, sys, cfg)(_start_state(sys, y, "y"), h, 1)
+    return StepRecord(State(t=t + h, y=sol.states[0]), h, tab.alpha, sol.stage_iters, 0)
 
 
 def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> float:
@@ -289,15 +273,13 @@ def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> fl
 
 
 def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: SolverConfig,
-               alpha_prev: float = 0.0, t=0.0, *, doubling: bool = False) -> StepRecord | _Records:
+               alpha_prev: float = 0.0, *, steps: int = 1, doubling: bool = False) -> _Solve:
     """EQUIP step, window or step-doubling attempt: tune alpha so H is kept.
 
     The secant on g(alpha) = H(y_next(alpha)) - H(y) starts from alpha_prev.
-    One start time t is a step, with doubling a step-doubling attempt; a
-    sequence of start times is a window of len(t) fixed steps, whose records
-    come back as a tuple whose ``flagged`` is true when any record is.  Each
-    block of the stacked system has its own alpha and secant, all in
-    lockstep, on the energy change from the state the block starts from:
+    steps = 1 is a step, with doubling an attempt, and more a window of that
+    many fixed steps.  Each block of the stacked system has its own alpha,
+    flag and secant, all in lockstep, on the energy change from its start:
     H(y_i) - H(y_i-1) for a window's steps, and H(full) - H(y), H(half) - H(y)
     and H(last) - H(half) for an attempt.  A block whose |g| meets the
     tolerance keeps its alpha while it does, and the solve ends when all meet
@@ -310,11 +292,9 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
     before any energy evaluation.  A failed first evaluation raises, as does
     any failed evaluation of an attempt, whose driver can reduce h.
     """
-    ts = t if np.ndim(t) else [t]
-    if np.ndim(t) > (0 if doubling else 1) or not len(ts):
-        raise ValueError("t must be one start time, or a window of at least one start time; "
-                         f"got t={t!r}")
-    k = 3 if doubling else len(ts)
+    if not isinstance(steps, Integral) or steps < 1 or doubling and steps != 1:
+        raise ValueError(f"steps must be an integer >= 1, and 1 for an attempt, got {steps!r}")
+    k = 3 if doubling else steps
     tabs = [build_equip_tableau(s, alpha_prev)] * k
     alpha, alpha_old, g_old = [tabs[0].alpha] * k, [None] * k, [0.0] * k
     stage_iters, Y = 0, None
@@ -322,7 +302,7 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
         for i, a in enumerate(alpha):  # a block's tableau is rebuilt only when its alpha moved
             if tabs[i].alpha != a:
                 tabs[i] = build_equip_tableau(s, a)
-        A, b, links = _stack(_chains(tabs, doubling))
+        A, b, links = _stack(tabs, doubling)
         try:
             states, Y, iters = _evaluate(A, b, links, sys, y, h, cfg, Y)
         except (NonConvergence, Divergence) as exc:
@@ -350,33 +330,31 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
             break
         for i, a in moved.items():
             alpha_old[i], g_old[i], alpha[i] = alpha[i], g[i], a
-    records = _records(best, t if doubling else ts, h, tabs[0].order, best_alpha, stage_iters,
-                       evals, [not abs(g_i) <= gtol for g_i in best_g], doubling)
-    return records if doubling or np.ndim(t) else records[0]
+    return _Solve(best, best_alpha, [not abs(g_i) <= gtol for g_i in best_g], stage_iters, evals)
 
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig,
              doubling: bool = False):
     """The one solve a driver calls, and the one place method.kind is read.
 
-    window(y, h, ts, alpha_prev) gives the _Records of len(ts) fixed steps as
-    one stacked solve, every EQUIP secant starting from alpha_prev; with
-    doubling it is attempt(y, h, t, alpha_prev), one step-doubling attempt's
-    StepRecord.  Gauss and HBVM build their tableau once here.
+    solve(y, h, steps, alpha_prev) gives the _Solve of a window of that many
+    fixed steps, every EQUIP secant starting from alpha_prev, or with
+    doubling of one step-doubling attempt (steps = 1).  Gauss and HBVM build
+    their tableau once here.
     """
     if method.kind == "equip":
-        def solve(y, h, t, alpha_prev):
+        def solve(y, h, steps, alpha_prev):
             # integrator.equip_step is looked up at each call, where the benchmark wraps it
-            return equip_step(method.s, sys, y, h, cfg, alpha_prev, t, doubling=doubling)
+            return equip_step(method.s, sys, y, h, cfg, alpha_prev, steps=steps, doubling=doubling)
         return solve
     return _fixed(build_tableau(method), sys, cfg, doubling)
 
 
-def _start_state(sys: HamiltonianSystem, y0) -> np.ndarray:
-    """y0 as floats; a ValueError unless it is finite with shape (2 * half_dim,)."""
+def _start_state(sys: HamiltonianSystem, y0, name: str = "y0") -> np.ndarray:
+    """y0 as floats; a ValueError naming it name unless it is finite with shape (2 * half_dim,)."""
     y = np.asarray(y0, dtype=float)
     if y.shape != (2 * sys.half_dim,) or not np.isfinite(y).all():
-        raise ValueError(f"y0 must be finite with shape ({2 * sys.half_dim},), got {y0!r}")
+        raise ValueError(f"{name} must be finite with shape ({2 * sys.half_dim},), got {y0!r}")
     return y
 
 
@@ -401,15 +379,15 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
         for k in range(n_steps):
             if windowed and k % _WINDOW == 0:
                 try:
-                    batch = window(y, h, [j * h for j in range(k, min(k + _WINDOW, n_steps))],
-                                   alpha_prev)
+                    batch = window(y, h, min(_WINDOW, n_steps - k), alpha_prev)
                 except (NonConvergence, Divergence):
                     batch, windowed = None, False  # one step at a time from here on
                 if batch and batch.flagged:
                     batch = None  # a flagged window's steps go one at a time
-            rec = batch[k % _WINDOW] if batch else window(y, h, [k * h], alpha_prev)[0]
-            records.append(rec)
-            y, alpha_prev = rec.state.y, rec.alpha
+            sol, i = (batch, k % _WINDOW) if batch else (window(y, h, 1, alpha_prev), 0)
+            y, alpha_prev = sol.states[i], sol.alphas[i]
+            records.append(StepRecord(State(t=k * h + h, y=y), h, alpha_prev, sol.stage_iters,
+                                      sol.alpha_iters, flagged=sol.flags[i]))
     except IntegrationError as exc:
         raise type(exc)(f"{method} failed at step {k} (t={k * h:.6g}, h={h:.6g}): {exc}") from exc
     return records
@@ -436,7 +414,8 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
                        t_stops, tol: float, cfg: SolverConfig) -> list[list[StepRecord]]:
     """Step-doubling adaptive driver from t = 0; one list of accepted records per stop.
 
-    A step is accepted when err_est <= tol; the next stepsize multiplies by
+    An attempt is accepted when its err_est = |full - last|_inf / (2^p - 1),
+    without local extrapolation, is <= tol; the next stepsize multiplies by
     the clamped controller factor, or halves after a solver failure, which
     includes a failed evaluation anywhere in an EQUIP attempt's secant.  h is
     confined to [1e-8, stop - t] (MinStepReached when an attempt fails there)
@@ -462,17 +441,21 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
                 if lands_on_stop:
                     h = stop - t
                 try:
-                    info = attempt(y, h, t, alpha_prev)
+                    sol = attempt(y, h, 1, alpha_prev)
                 except (NonConvergence, Divergence):
-                    info = None
-                if info is not None and info.err_est <= tol:
-                    y, alpha_prev = info.state.y, info.alpha
+                    sol = None
+                else:
+                    err_est = (float(abs(sol.states[0] - sol.states[-1]).max())
+                               / (2.0 ** method.order - 1.0))
+                if sol is not None and err_est <= tol:
+                    y, alpha_prev = sol.states[-1], sol.alphas[-1]
                     t = stop if lands_on_stop else t + h
-                    records.append(replace(info, state=State(t=t, y=y)))
+                    records.append(StepRecord(State(t=t, y=y), h, alpha_prev, sol.stage_iters,
+                                              sol.alpha_iters, err_est, sol.flagged))
                 elif h <= H_MIN * (1.0 + 1e-9):
-                    why = "solver failure persists" if info is None else "step rejected"
+                    why = "solver failure persists" if sol is None else "step rejected"
                     raise MinStepReached(f"{why} at h={h:.3e}")
-                factor = 0.5 if info is None else propose_factor(info.err_est, tol, method.order)
+                factor = 0.5 if sol is None else propose_factor(err_est, tol, method.order)
                 h = max(h * factor, H_MIN)
             runs.append(records)
             # the landing step was shortened; go on from the step before it

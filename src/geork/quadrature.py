@@ -11,6 +11,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -46,8 +47,8 @@ def legendre_eval(j: int, tau):
     Evaluated through the standard three-term recurrence after mapping
     [0, 1] -> [-1, 1]; stable for every supported degree.
     """
-    if j < 1:
-        raise ValueError(f"basis index must be >= 1, got {j}")
+    if not isinstance(j, Integral) or j < 1:
+        raise ValueError(f"basis index must be an integer >= 1, got {j!r}")
     x = 2.0 * np.asarray(tau, dtype=float) - 1.0
     value, _ = _legendre_pair(j - 1, x)
     result = np.sqrt(2 * j - 1) * value
@@ -83,8 +84,8 @@ def gauss_rule(n: int) -> QuadratureRule:
     from Chebyshev initial guesses; only the roots x >= 0 are computed and the
     rule is mirrored so that node/weight symmetry about 1/2 holds exactly.
     """
-    if n < 1 or n > MAX_NODES:
-        raise ValueError(f"node count must be in 1..{MAX_NODES}, got {n}")
+    if not isinstance(n, Integral) or not 1 <= n <= MAX_NODES:
+        raise ValueError(f"node count must be an integer in 1..{MAX_NODES}, got {n!r}")
 
     n_low = (n + 1) // 2
     low = np.empty(n_low)
@@ -119,8 +120,8 @@ def vandermonde(rule: QuadratureRule, n_cols: int) -> np.ndarray:
     this library needs more than n_nodes + 1 columns, so larger requests are
     rejected.
     """
-    if n_cols < 1:
-        raise ValueError("n_cols must be positive")
+    if not isinstance(n_cols, Integral) or n_cols < 1:
+        raise ValueError(f"n_cols must be a positive integer, got {n_cols!r}")
     if n_cols > rule.n_nodes + 1:
         raise ValueError(
             f"n_cols={n_cols} exceeds n_nodes+1={rule.n_nodes + 1}"

@@ -46,8 +46,8 @@ KINDS = ("gauss", "hbvm", "equip")
 
 def xi(j: int) -> float:
     """Coupling coefficient between basis modes j and j + 1."""
-    if j < 1:
-        raise ValueError(f"index must be >= 1, got {j}")
+    if not isinstance(j, Integral) or j < 1:
+        raise ValueError(f"index must be an integer >= 1, got {j!r}")
     return 1.0 / (2.0 * np.sqrt(4.0 * j * j - 1.0))
 
 
@@ -57,8 +57,8 @@ def core_matrix(s: int) -> np.ndarray:
     Entry (1,1) is 1/2 and mode j couples to mode j + 1 through -xi_j above
     and +xi_j below the diagonal; row s + 1 carries only xi_s.
     """
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
+    if not isinstance(s, Integral) or s < 1:
+        raise ValueError(f"s must be a positive integer, got {s!r}")
     X = np.zeros((s + 1, s))
     X[0, 0] = 0.5
     for j in range(1, s + 1):

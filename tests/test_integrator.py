@@ -89,8 +89,8 @@ def first_h(monkeypatch):
 def stacked_evaluations():
     """Yield (alphas, states), filled per evaluation of the stacked attempts run in the block.
 
-    integrator._stack forms each attempt's system from its full step's chain
-    and its half-steps' chain, whose three tableaus' alphas are recorded, and
+    integrator._stack forms each attempt's system from its three tableaus,
+    of the full step and the two half-steps, whose alphas are recorded, and
     integrator._evaluate gives its (full, half, last) states, or None when
     it fails; steps and windows of fixed steps are not recorded.  An
     attempt's system is the one whose only link is its last half-step's.
@@ -98,10 +98,10 @@ def stacked_evaluations():
     alphas, states = [], []
     stack, evaluate = integrator._stack, integrator._evaluate
 
-    def recording_stack(chains):
-        system = stack(chains)
+    def recording_stack(tabs, doubling=False):
+        system = stack(tabs, doubling)
         if system[2] == [2]:
-            alphas.append(tuple(tab.alpha for tabs, _ in chains for tab in tabs))
+            alphas.append(tuple(tab.alpha for tab in tabs))
         return system
 
     def recording_evaluate(*args):
@@ -118,20 +118,26 @@ def stacked_evaluations():
         yield alphas, states
 
 
-def returned_evaluation(evaluations, rec):
-    """(alphas, (full, half, last)) of the evaluation whose last state the attempt returned."""
-    return next((a, s) for a, s in zip(*evaluations) if rec.state.y.base is s)
+def returned_evaluation(evaluations, sol):
+    """(alphas, (full, half, last)) of the evaluation whose states the attempt returned."""
+    return next((a, s) for a, s in zip(*evaluations) if sol.states is s)
+
+
+def doubling_error(sol, order):
+    """The adaptive driver's err_est of an attempt's _Solve: |full - last|_inf / (2^p - 1)."""
+    return float(np.max(np.abs(sol.states[0] - sol.states[-1]))) / (2.0 ** order - 1.0)
 
 
 def step_doubling_error(method, sys, y, h, cfg):
     """The controller's error estimate for one attempt of size h from y."""
-    return _stepper(method, sys, cfg, doubling=True)(y, h, 0.0, 0.0).err_est
+    return doubling_error(_stepper(method, sys, cfg, doubling=True)(y, h, 1, 0.0), method.order)
 
 
-def single_step(method, sys, cfg):
-    """step(y, h, t, alpha_prev): the fixed driver's step, a one-step window."""
-    window = _stepper(method, sys, cfg)
-    return lambda y, h, t, alpha_prev: window(y, h, [t], alpha_prev)[0]
+def assert_record_of(rec, sol, h, i=0):
+    """rec is the fixed driver's record of block i of the _Solve sol, bit for bit."""
+    np.testing.assert_array_equal(rec.state.y, sol.states[i])
+    assert (rec.h, rec.alpha, rec.stage_iters, rec.alpha_iters, rec.err_est, rec.flagged) == \
+        (h, sol.alphas[i], sol.stage_iters, sol.alpha_iters, None, sol.flags[i])
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +339,18 @@ def test_gauss_reversibility(s, alpha, h, t):
 
 def test_equip_alpha_vanishes_on_quadratic_energy(harmonic, cfg):
     sys, state0 = harmonic
-    rec = equip_step(3, sys, state0.y, 0.3, cfg)
-    assert abs(rec.alpha) <= 1e-8
-    assert not rec.flagged
+    sol = equip_step(3, sys, state0.y, 0.3, cfg)
+    assert abs(sol.alphas[0]) <= 1e-8
+    assert not sol.flagged
 
 
 def test_equip_step_energy_contract(cfg):
     sys, state0 = kepler_system(0.6)
     H0 = float(sys.energy(state0.y))
-    rec = equip_step(3, sys, state0.y, T / 100, cfg)
-    assert abs(float(sys.energy(rec.state.y)) - H0) <= 1e-12 * (1 + abs(H0))
-    assert abs(rec.alpha) <= 1e-2  # regression bound at this stepsize
-    assert rec.alpha_iters <= 25
+    sol = equip_step(3, sys, state0.y, T / 100, cfg)
+    assert abs(float(sys.energy(sol.states[0])) - H0) <= 1e-12 * (1 + abs(H0))
+    assert abs(sol.alphas[0]) <= 1e-2  # regression bound at this stepsize
+    assert sol.alpha_iters <= 25
 
 
 def test_equip_period_conserves_angular_momentum(cfg):
@@ -373,16 +379,16 @@ def test_equip_flagged_fallback(monkeypatch):
     sys, state0 = kepler_system(0.6)
     starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=3)
     y, h = state0.y, T / 100
-    rec = equip_step(3, sys, y, h, starved)
-    assert rec.flagged
-    assert rec.state.t == h
-    assert (rec.alpha_iters, rec.stage_iters) == (3, sum(solves))
-    same = rk_step(build_equip_tableau(3, rec.alpha), sys, y, h, starved)
+    sol = equip_step(3, sys, y, h, starved)
+    assert sol.flagged
+    assert sol.flags == [True] and sol.states.shape == (1, 4)
+    assert (sol.alpha_iters, sol.stage_iters) == (3, sum(solves))
+    same = rk_step(build_equip_tableau(3, sol.alphas[0]), sys, y, h, starved)
     bound = starved.stage_tol * (1 + np.max(np.abs(y)))
-    assert np.max(np.abs(rec.state.y - same.state.y)) <= bound
+    assert np.max(np.abs(sol.states[0] - same.state.y)) <= bound
     start = rk_step(build_equip_tableau(3, 0.0), sys, y, h, starved)
     H0 = float(sys.energy(y))
-    assert (abs(float(sys.energy(rec.state.y)) - H0)
+    assert (abs(float(sys.energy(sol.states[0])) - H0)
             <= abs(float(sys.energy(start.state.y)) - H0))
 
 
@@ -426,11 +432,11 @@ def test_equip_secant_with_a_flat_energy_falls_back_flagged(cfg):
 
     flat = HamiltonianSystem(name="flat", half_dim=1, energy=energy,
                              force=lambda q: np.zeros(np.shape(q)), invariants={"H": energy})
-    rec = equip_step(3, flat, np.array([0.0, 1.0]), 0.1, cfg)
-    assert rec.flagged
-    assert (rec.alpha, rec.alpha_iters) == (0.0, 2)  # a tie keeps the first alpha
-    assert rec.state.t == pytest.approx(0.1)
-    np.testing.assert_allclose(rec.state.y, [0.1, 1.0], atol=1e-15)
+    sol = equip_step(3, flat, np.array([0.0, 1.0]), 0.1, cfg)
+    assert sol.flagged
+    assert (sol.alphas, sol.alpha_iters) == ([0.0], 2)  # a tie keeps the first alpha
+    assert sol.flags == [True] and sol.states.shape == (1, 2)
+    np.testing.assert_allclose(sol.states[0], [0.1, 1.0], atol=1e-15)
 
 
 def test_equip_failed_stage_solve_or_non_finite_update_raises(cfg):
@@ -450,7 +456,7 @@ def test_equip_failed_stage_solve_or_non_finite_update_raises(cfg):
 def equip_backing_off(y, h, doubling=False):
     """An EQUIP step or attempt on Kepler e = 0.6 from y, and what its evaluations did.
 
-    Returns (sys, rec, sweeps, built, evaluations).  rec is the record, or
+    Returns (sys, sol, sweeps, built, evaluations).  sol is the _Solve, or
     the IntegrationError the call raised.  The sweeps are (iterations,
     failed) per solve, failed ones counted as the sweeps they spent; built
     holds the alphas of the tableaus built; evaluations holds per evaluation
@@ -485,10 +491,10 @@ def equip_backing_off(y, h, doubling=False):
             mock.patch.object(integrator, "build_equip_tableau", recorded), \
             mock.patch.object(integrator, "_evaluate", evaluated):
         try:
-            rec = equip_step(3, sys, np.array(y, dtype=float), h, SolverConfig(), doubling=doubling)
+            sol = equip_step(3, sys, np.array(y, dtype=float), h, SolverConfig(), doubling=doubling)
         except IntegrationError as exc:
-            rec = exc
-    return sys, rec, sweeps, built, evaluations
+            sol = exc
+    return sys, sol, sweeps, built, evaluations
 
 
 @pytest.mark.parametrize("y, h, doubling", [
@@ -500,16 +506,16 @@ def equip_backing_off(y, h, doubling=False):
 def test_equip_backs_off_from_a_failed_evaluation(y, h, doubling):
     # from each of these states a secant evaluation after the first fails its
     # stage solve.  That ends the secant: no tableau is built after it.  An
-    # attempt raises, so that its driver reduces h; a step's record, flagged
+    # attempt raises, so that its driver reduces h; a step's solve, flagged
     # instead of raising, is the evaluation before it of least largest |g|,
     # with the failed sweeps counted in stage_iters
-    sys, rec, sweeps, built, evaluations = equip_backing_off(y, h, doubling)
+    sys, sol, sweeps, built, evaluations = equip_backing_off(y, h, doubling)
     assert len(sweeps) > 1
     assert [failed for _, failed in sweeps] == [False] * (len(sweeps) - 1) + [True]
     assert [states is None for _, states in evaluations] == [False] * (len(sweeps) - 1) + [True]
     assert evaluations[-1][0] == len(built)
     if doubling:
-        assert isinstance(rec, NonConvergence)
+        assert isinstance(sol, NonConvergence)
         return
     H0 = float(sys.energy(np.array(y, dtype=float)))
     worst = []
@@ -517,12 +523,12 @@ def test_equip_backs_off_from_a_failed_evaluation(y, h, doubling):
         H = sys.energy(states).tolist()
         g = [H[0] - H0, H[1] - H0, H[2] - H[1]] if doubling else [H[0] - H0]
         worst.append(max(map(abs, g)))
-    (returned,) = [i for i, (_, states) in enumerate(evaluations) if rec.state.y.base is states]
+    (returned,) = [i for i, (_, states) in enumerate(evaluations) if sol.states is states]
     assert returned == int(np.argmin(worst))
-    assert rec.flagged
-    assert rec.stage_iters == sum(iters for iters, _ in sweeps)
-    assert rec.alpha_iters == len(sweeps) <= SolverConfig().max_alpha_iters
-    assert np.isfinite(rec.state.y).all() and rec.state.t == h
+    assert sol.flagged
+    assert sol.stage_iters == sum(iters for iters, _ in sweeps)
+    assert sol.alpha_iters == len(sweeps) <= SolverConfig().max_alpha_iters
+    assert np.isfinite(sol.states).all() and sol.states.shape == (1, 4)
 
 
 def test_equip_back_off_makes_mirror_states_alike():
@@ -530,13 +536,13 @@ def test_equip_back_off_makes_mirror_states_alike():
     # 0.5 sin(pi) = 6e-17 in q2: only the mirror's secant fails an evaluation
     # (its 25th and last), and both end flagged at mirrored states (measured
     # 1.3e-8 apart)
-    _, rec, sweeps, *_ = equip_backing_off([0.5, 0.0, 0.0, 1.0], 0.125)
+    _, sol, sweeps, *_ = equip_backing_off([0.5, 0.0, 0.0, 1.0], 0.125)
     _, mirror, mirror_sweeps, *_ = equip_backing_off(
         [0.5 * np.cos(np.pi), 0.5 * np.sin(np.pi), 0.0, 1.0], 0.125)
     assert not any(failed for _, failed in sweeps)
     assert any(failed for _, failed in mirror_sweeps)
-    assert rec.flagged == mirror.flagged
-    np.testing.assert_allclose(mirror.state.y * [-1, 1, -1, 1], rec.state.y, rtol=0, atol=1e-6)
+    assert sol.flagged == mirror.flagged
+    np.testing.assert_allclose(mirror.states[0] * [-1, 1, -1, 1], sol.states[0], rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -559,23 +565,23 @@ def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg)
     assert len(calls) == rec.stage_iters + 1
     # each alpha evaluation is one stage solve plus one update
     calls.clear()
-    rec = equip_step(3, sys, state0.y, T / 100, cfg)
-    assert rec.alpha_iters > 1 and not rec.flagged
-    assert len(calls) == rec.stage_iters + rec.alpha_iters
+    sol = equip_step(3, sys, state0.y, T / 100, cfg)
+    assert sol.alpha_iters > 1 and not sol.flagged
+    assert len(calls) == sol.stage_iters + sol.alpha_iters
     # a Gauss attempt: each sweep of its one stacked solve, and the update,
     # see the full step's and both half-steps' 3n = 9 stages at once
     calls.clear()
     attempt = _stepper(GAUSS3, sys, cfg, doubling=True)
-    rec = attempt(state0.y, T / 100, 0.0, 0.0)
-    assert rec.stage_iters >= 2
-    assert calls == [(9, 4)] * (rec.stage_iters + 1)
+    sol = attempt(state0.y, T / 100, 1, 0.0)
+    assert sol.stage_iters >= 2
+    assert calls == [(9, 4)] * (sol.stage_iters + 1)
     # an EQUIP attempt: each evaluation is one stacked solve and one update,
     # on the three blocks' 9 stages
     calls.clear()
     attempt = _stepper(EQUIP3, sys, cfg, doubling=True)
-    rec = attempt(state0.y, T / 100, 0.0, 0.0)
-    assert rec.alpha_iters > 1 and not rec.flagged
-    assert calls == [(9, 4)] * (rec.stage_iters + rec.alpha_iters)
+    sol = attempt(state0.y, T / 100, 1, 0.0)
+    assert sol.alpha_iters > 1 and not sol.flagged
+    assert calls == [(9, 4)] * (sol.stage_iters + sol.alpha_iters)
 
 
 def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cfg):
@@ -594,14 +600,14 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
             return _fn(*args, **kwargs)
         monkeypatch.setattr(integrator, name, counted)
     sys, state0 = kepler_system(0.6)
-    rec = integrator.equip_step(3, sys, state0.y, T / 100, cfg)
-    assert not rec.flagged and rec.alpha_iters == 4
+    sol = integrator.equip_step(3, sys, state0.y, T / 100, cfg)
+    assert not sol.flagged and sol.alpha_iters == 4
     assert calls == {"equip_step": 1, "build_equip_tableau": 4}
     # a starved step is still one call, with one build per evaluation
     calls.update(equip_step=0, build_equip_tableau=0)
     starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=3)
-    rec = integrator.equip_step(3, sys, state0.y, T / 100, starved)
-    assert rec.flagged
+    sol = integrator.equip_step(3, sys, state0.y, T / 100, starved)
+    assert sol.flagged
     assert calls == {"equip_step": 1, "build_equip_tableau": 3}
     # an attempt is one equip_step call; its first evaluation builds one
     # tableau for all three blocks, and each later one a tableau per block
@@ -610,9 +616,9 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
     built.clear()
     attempt = _stepper(EQUIP3, sys, cfg, doubling=True)
     with stacked_evaluations() as (alphas, _):
-        rec = attempt(state0.y, T / 100, 0.0, 0.0)
+        sol = attempt(state0.y, T / 100, 1, 0.0)
     moved = [a for old, new in zip(alphas, alphas[1:]) for a_old, a in zip(old, new) if a != a_old]
-    assert alphas[0] == (0.0, 0.0, 0.0) and rec.alpha_iters == len(alphas) > 2
+    assert alphas[0] == (0.0, 0.0, 0.0) and sol.alpha_iters == len(alphas) > 2
     assert built == [0.0, *moved] and len(moved) < 3 * (len(alphas) - 1)
     assert calls == {"equip_step": 1, "build_equip_tableau": len(built)}
     # a fixed run is one call per window.  A window's first evaluation builds
@@ -744,10 +750,10 @@ def equip_step_loop(sys, y, h, n_steps, cfg):
     states, alpha = [], 0.0
     for k in range(n_steps):
         try:
-            rec = equip_step(3, sys, y, h, cfg, alpha, k * h)
+            sol = equip_step(3, sys, y, h, cfg, alpha)
         except (NonConvergence, Divergence) as exc:
             return states, (k, type(exc))
-        y, alpha = rec.state.y, rec.alpha
+        y, alpha = sol.states[0], sol.alphas[0]
         states.append(y)
     return states, None
 
@@ -781,9 +787,7 @@ def test_windowed_equip_steps_keep_the_energy_contract(e, divisor, n_steps, budg
         assert (rec.state.t, rec.h, rec.err_est) == (k * h + h, h, None)
         assert rec.flagged or abs(H[k + 1] - H[k]) <= gtol
     if n_steps == 1:
-        single = equip_step(3, sys, state0.y, h, cfg)
-        np.testing.assert_array_equal(recs[0].state.y, single.state.y)
-        assert dataclasses.astuple(recs[0])[1:] == dataclasses.astuple(single)[1:]
+        assert_record_of(recs[0], equip_step(3, sys, state0.y, h, cfg), h)
 
 
 def test_flagged_window_is_solved_again_one_step_at_a_time(monkeypatch):
@@ -794,7 +798,7 @@ def test_flagged_window_is_solved_again_one_step_at_a_time(monkeypatch):
     calls, step = [], integrator.equip_step
 
     def counted(*args, **kwargs):
-        calls.append(args[6])
+        calls.append(kwargs["steps"])
         return step(*args, **kwargs)
 
     monkeypatch.setattr(integrator, "equip_step", counted)
@@ -802,12 +806,10 @@ def test_flagged_window_is_solved_again_one_step_at_a_time(monkeypatch):
     starved = SolverConfig(alpha_tol=1e-30, max_alpha_iters=3)
     W, h, n = integrator._WINDOW, T / 100, integrator._WINDOW + 3
     recs = integrate_fixed(EQUIP3, sys, state0.y, h, n, starved)
-    assert [len(t) for t in calls] == [W] + [1] * W + [3] + [1] * 3
+    assert calls == [W] + [1] * W + [3] + [1] * 3
     y, alpha = state0.y, 0.0
-    for k, rec in enumerate(recs):
-        single = step(3, sys, y, h, starved, alpha, k * h)
-        np.testing.assert_array_equal(rec.state.y, single.state.y)
-        assert dataclasses.astuple(rec)[1:] == dataclasses.astuple(single)[1:]
+    for rec in recs:
+        assert_record_of(rec, step(3, sys, y, h, starved, alpha), h)
         assert rec.flagged and rec.alpha_iters == 3
         y, alpha = rec.state.y, rec.alpha
 
@@ -827,51 +829,47 @@ def test_window_whose_later_evaluation_fails_is_solved_again_one_step_at_a_time(
 
     y0, h = np.array([1.0, 0.0]), 0.1
     with np.errstate(invalid="ignore"):
-        recs = equip_step(3, lifted({3}), y0, h, cfg, 0.0, [0.0, h, 2 * h])
-        assert [rec.flagged for rec in recs] == [True, False, False] and recs.flagged
-        assert [rec.alpha_iters for rec in recs] == [2] * 3
+        sol = equip_step(3, lifted({3}), y0, h, cfg, 0.0, steps=3)
+        assert sol.flags == [True, False, False] and sol.flagged
+        assert sol.alpha_iters == 2
         run = integrate_fixed(EQUIP3, lifted({3}), y0, h, 3, cfg)
     y, alpha = y0, 0.0
-    for k, rec in enumerate(run):
-        single = equip_step(3, lifted(set()), y, h, cfg, alpha, k * h)
-        np.testing.assert_array_equal(rec.state.y, single.state.y)
-        assert dataclasses.astuple(rec)[1:] == dataclasses.astuple(single)[1:]
+    for rec in run:
+        assert_record_of(rec, equip_step(3, lifted(set()), y, h, cfg, alpha), h)
         assert rec.flagged
         y, alpha = rec.state.y, rec.alpha
 
 
 @pytest.mark.parametrize("method", [GAUSS3, HBVM63], ids=str)
 def test_fixed_tableau_window_is_never_flagged(method, cfg):
-    # a Gauss or HBVM window returns the same record tuple as an EQUIP one,
-    # so the fixed driver reads its flag alike, and it has no secant to flag
+    # a Gauss or HBVM window returns the same _Solve as an EQUIP one, so the
+    # fixed driver reads its flag alike, and it has no secant to flag
     sys, state0 = kepler_system(0.6)
-    recs = _stepper(method, sys, cfg)(state0.y, T / 100, [0.0, T / 100, T / 50], 0.0)
-    assert isinstance(recs, integrator._Records) and len(recs) == 3
-    assert not recs.flagged and not any(rec.flagged for rec in recs)
+    sol = _stepper(method, sys, cfg)(state0.y, T / 100, 3, 0.0)
+    assert isinstance(sol, integrator._Solve) and len(sol.states) == 3
+    assert not sol.flagged and sol.flags == [False] * 3
 
 
 @pytest.mark.parametrize("method", [GAUSS3, HBVM63], ids=str)
 def test_fixed_solver_keeps_its_systems_bit_for_bit(method, cfg):
     # one closure keeps each shape's stacked system, and its sweep matrices
     # while h stays the same: moving h or the window length and back gives
-    # the records of fresh closures, bit for bit
+    # the solves of fresh closures, bit for bit
     sys, state0 = kepler_system(0.6)
     tab, y, W, h1, h2 = build_tableau(method), state0.y, integrator._WINDOW, T / 100, T / 70
 
     def assert_same(kept, fresh):
-        np.testing.assert_array_equal(kept.state.y, fresh.state.y)
-        assert dataclasses.astuple(kept)[1:] == dataclasses.astuple(fresh)[1:]
+        np.testing.assert_array_equal(kept.states, fresh.states)
+        assert kept[1:] == fresh[1:]
 
     attempt = integrator._fixed(tab, sys, cfg, doubling=True)
     for h in (h1, h2, h1):
-        assert_same(attempt(y, h, 0.5), integrator._fixed(tab, sys, cfg, doubling=True)(y, h, 0.5))
+        assert_same(attempt(y, h, 1), integrator._fixed(tab, sys, cfg, doubling=True)(y, h, 1))
     window = integrator._fixed(tab, sys, cfg)
     for h, n in ((h1, W), (h1, 3), (h2, W), (h1, 3), (h1, W)):
-        ts = [k * h for k in range(n)]
-        kept, fresh = window(y, h, ts), integrator._fixed(tab, sys, cfg)(y, h, ts)
-        assert len(kept) == len(fresh) == n
-        for a, b in zip(kept, fresh):
-            assert_same(a, b)
+        kept, fresh = window(y, h, n), integrator._fixed(tab, sys, cfg)(y, h, n)
+        assert len(kept.states) == len(fresh.states) == n
+        assert_same(kept, fresh)
 
 
 def test_campaign_equip_errors_do_not_depend_on_the_window(monkeypatch):
@@ -917,13 +915,13 @@ def check_failed_window_runs_the_rest_one_step_at_a_time(method, cfg):
 
     trapped = dataclasses.replace(sys, force=force)
     recs = integrate_fixed(method, trapped, state0.y, h, W + 2, cfg)
-    step = single_step(method, sys, cfg)
+    step = _stepper(method, sys, cfg)
     y, alpha = state0.y, 0.0
     for k, rec in enumerate(recs):
-        single = step(y, h, k * h, alpha)
-        np.testing.assert_array_equal(rec.state.y, single.state.y)
+        single = step(y, h, 1, alpha)
+        np.testing.assert_array_equal(rec.state.y, single.states[0])
         assert (rec.state.t, rec.stage_iters, rec.alpha) == \
-            (single.state.t, single.stage_iters, single.alpha)
+            (k * h + h, single.stage_iters, single.alphas[0])
         y, alpha = rec.state.y, rec.alpha
     assert len(recs) == W + 2
     # a step's field calls are its sweeps and an update per evaluation, of
@@ -973,33 +971,34 @@ def test_drivers_reject_equip1_before_any_solve(cfg):
         equip_step(1, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg)
 
 
-def test_equip_window_rejects_no_start_times(cfg):
-    # a window of no steps is an input error, caught before any evaluation
-    with pytest.raises(ValueError, match="at least one start time"):
-        equip_step(3, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg, 0.0, [])
+def test_equip_step_rejects_a_bad_count_of_steps(cfg):
+    # a window of no steps, a count that is no integer, and an attempt of
+    # more than one step are input errors, caught before any evaluation
+    for steps, doubling in [(0, False), (-1, False), (2.5, False), (np.nan, False),
+                            ("2", False), (0, True), (2, True)]:
+        with pytest.raises(ValueError, match="^steps must be an integer >= 1"):
+            equip_step(3, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg, 0.0,
+                       steps=steps, doubling=doubling)
 
 
-def test_equip_step_reads_t_by_its_dimension(cfg):
-    # one start time is a step and a sequence of them, of any kind, a window
+def test_equip_step_takes_a_count_of_steps(cfg):
+    # steps = 1 is a step and more, as any integer type, a window of that
+    # many; the solve has a state, alpha and flag per step and no times
     sys, state0 = kepler_system(0.6)
     h = T / 100
-    listed = equip_step(3, sys, state0.y, h, cfg, 0.0, [0.0, h])
-    for t in (np.array([0.0, h]), (0.0, h)):
-        recs = equip_step(3, sys, state0.y, h, cfg, 0.0, t)
-        assert isinstance(recs, integrator._Records) and len(recs) == 2
-        for rec, ref in zip(recs, listed):
-            np.testing.assert_array_equal(rec.state.y, ref.state.y)
-            assert rec.state.t == ref.state.t and np.ndim(rec.state.t) == 0
-    rec = equip_step(3, sys, state0.y, h, cfg, 0.0, np.array(0.0))
-    np.testing.assert_array_equal(rec.state.y, equip_step(3, sys, state0.y, h, cfg).state.y)
-    assert rec.state.t == h and np.ndim(rec.state.t) == 0
-    # anything more, or a sequence for an attempt, is an input error caught
-    # before any evaluation
-    for t, doubling in [(np.zeros((2, 1)), False), ([0.0], True), ((0.0, h), True),
-                        (np.zeros(1), True), ([[0.0]], True)]:
-        with pytest.raises(ValueError, match="one start time"):
-            equip_step(3, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg, 0.0, t,
-                       doubling=doubling)
+    window = equip_step(3, sys, state0.y, h, cfg, 0.0, steps=2)
+    assert window.states.shape == (2, 4) and len(window.alphas) == len(window.flags) == 2
+    same = equip_step(3, sys, state0.y, h, cfg, 0.0, steps=np.int64(2))
+    np.testing.assert_array_equal(same.states, window.states)
+    assert same[1:] == window[1:]
+    step, one = equip_step(3, sys, state0.y, h, cfg), equip_step(3, sys, state0.y, h, cfg, steps=1)
+    np.testing.assert_array_equal(step.states, one.states)
+    assert step.states.shape == (1, 4)
+    # steps is keyword-only: a call that passes a start time after
+    # alpha_prev fails before any evaluation instead of running a window
+    for t in (0.0, [0.0, h]):
+        with pytest.raises(TypeError):
+            equip_step(3, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg, 0.0, t)
 
 
 @pytest.mark.parametrize("y", [np.zeros(3), np.zeros((1, 2)), np.zeros((2, 2)), [1.0, np.nan]],
@@ -1007,7 +1006,7 @@ def test_equip_step_reads_t_by_its_dimension(cfg):
 def test_rk_step_checks_its_state_as_the_drivers_do(y, cfg):
     # a wrongly shaped state used to fail inside the stage solve, on a
     # NumPy broadcast error
-    with pytest.raises(ValueError, match=r"finite with shape \(2,\)"):
+    with pytest.raises(ValueError, match=r"^y must be finite with shape \(2,\)"):
         rk_step(build_gauss(3), untouchable_system(), y, 0.1, cfg)
 
 
@@ -1077,12 +1076,12 @@ def test_stacked_attempt_is_the_full_step_and_two_half_steps(r, theta, p, h, met
     half = rk_step(tab, sys, y, h / 2, cfg)
     last = rk_step(tab, sys, half.state.y, h / 2, cfg, h / 2)
     attempt = _stepper(method, sys, cfg, doubling=True)
-    rec = attempt(y, h, 0.0, 0.0)
+    sol = attempt(y, h, 1, 0.0)
     bound = 2 * cfg.stage_tol * (1 + np.max(np.abs(y)))
-    assert (rec.state.t, rec.h, rec.alpha, rec.alpha_iters) == (h, h, 0.0, 0)
-    assert np.max(np.abs(rec.state.y - last.state.y)) <= bound
+    assert (sol.alphas, sol.flags, sol.alpha_iters) == ([0.0] * 3, [False] * 3, 0)
+    assert np.max(np.abs(sol.states[-1] - last.state.y)) <= bound
     err = np.max(np.abs(full.state.y - last.state.y)) / (2.0 ** method.order - 1.0)
-    assert abs(rec.err_est - err) <= bound / (2.0 ** method.order - 1.0)
+    assert abs(doubling_error(sol, method.order) - err) <= bound / (2.0 ** method.order - 1.0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -1100,31 +1099,33 @@ def test_stacked_equip_attempt_is_three_sequential_equip_steps(r, theta, p, h):
     cfg = SolverConfig()
     sys, _ = kepler_system(0.6)
     y = np.array([r * np.cos(theta), r * np.sin(theta), *p])
-    step, attempt = single_step(EQUIP3, sys, cfg), _stepper(EQUIP3, sys, cfg, doubling=True)
+    step, attempt = _stepper(EQUIP3, sys, cfg), _stepper(EQUIP3, sys, cfg, doubling=True)
     with stacked_evaluations() as evaluations:
         try:
-            rec = attempt(y, h, 0.0, 0.0)
+            sol = attempt(y, h, 1, 0.0)
         except (NonConvergence, Divergence):
             with pytest.raises((NonConvergence, Divergence)):
-                step(y, h, 0.0, 0.0)
-                half = step(y, h / 2, 0.0, 0.0)
-                step(half.state.y, h / 2, h / 2, half.alpha)
+                step(y, h, 1, 0.0)
+                half = step(y, h / 2, 1, 0.0)
+                step(half.states[0], h / 2, 1, half.alphas[0])
             return
-    full = step(y, h, 0.0, 0.0)
-    half = step(y, h / 2, 0.0, 0.0)
-    last = step(half.state.y, h / 2, h / 2, half.alpha)
-    assume(not (rec.flagged or full.flagged or half.flagged or last.flagged))
-    (_, _, a_last), states = returned_evaluation(evaluations, rec)
-    assert (rec.state.t, rec.h, rec.alpha, rec.alpha_iters) == (h, h, a_last, len(evaluations[0]))
+    full = step(y, h, 1, 0.0)
+    half = step(y, h / 2, 1, 0.0)
+    last = step(half.states[0], h / 2, 1, half.alphas[0])
+    assume(not (sol.flagged or full.flagged or half.flagged or last.flagged))
+    (_, _, a_last), states = returned_evaluation(evaluations, sol)
+    assert (sol.alphas[-1], sol.alpha_iters) == (a_last, len(evaluations[0]))
     bound = 2 * cfg.stage_tol * (1 + np.max(np.abs(y)))
-    at_alpha = rk_step(build_equip_tableau(3, a_last), sys, half.state.y, h / 2, cfg)
-    for stacked, sequential in zip(states, (full, half, at_alpha)):
-        assert np.max(np.abs(stacked - sequential.state.y)) <= bound
+    at_alpha = rk_step(build_equip_tableau(3, a_last), sys, half.states[0], h / 2, cfg)
+    for stacked, sequential in zip(states, (full.states[0], half.states[0], at_alpha.state.y)):
+        assert np.max(np.abs(stacked - sequential)) <= bound
     gtol = cfg.alpha_tol * (1 + abs(float(sys.energy(y))))
-    grad = float(np.sum(np.abs(sys.gradient(half.state.y))))
-    assert abs(float(sys.energy(at_alpha.state.y) - sys.energy(half.state.y))) <= gtol + grad * bound
-    err = np.max(np.abs(full.state.y - at_alpha.state.y)) / (2.0 ** EQUIP3.order - 1.0)
-    assert rec.err_est == pytest.approx(err, rel=5e-4, abs=2 * bound / (2.0 ** EQUIP3.order - 1.0))
+    grad = float(np.sum(np.abs(sys.gradient(half.states[0]))))
+    dH = float(sys.energy(at_alpha.state.y) - sys.energy(half.states[0]))
+    assert abs(dH) <= gtol + grad * bound
+    err = np.max(np.abs(full.states[0] - at_alpha.state.y)) / (2.0 ** EQUIP3.order - 1.0)
+    assert doubling_error(sol, EQUIP3.order) == pytest.approx(
+        err, rel=5e-4, abs=2 * bound / (2.0 ** EQUIP3.order - 1.0))
 
 
 def test_stacked_attempt_sweeps_no_more_than_its_full_step(monkeypatch, cfg):
@@ -1138,10 +1139,10 @@ def test_stacked_attempt_sweeps_no_more_than_its_full_step(monkeypatch, cfg):
     def recording(method, sys, cfg, doubling=False):
         attempt = stepper(method, sys, cfg, doubling)
 
-        def recorded(y, h, t, alpha_prev):
-            rec = attempt(y, h, t, alpha_prev)
-            attempts.append((y, h, rec.stage_iters))
-            return rec
+        def recorded(y, h, steps, alpha_prev):
+            sol = attempt(y, h, steps, alpha_prev)
+            attempts.append((y, h, sol.stage_iters))
+            return sol
         return recorded
 
     monkeypatch.setattr(integrator, "_stepper", recording)

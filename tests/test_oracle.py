@@ -22,7 +22,7 @@ from geork.dynamics import kepler_system
 from geork.integrator import (
     Divergence, NonConvergence, SolverConfig, _stepper, equip_step, rk_step)
 from geork.tableau import MethodSpec, build_tableau
-from test_integrator import returned_evaluation, stacked_evaluations
+from test_integrator import doubling_error, returned_evaluation, stacked_evaluations
 from test_quadrature import classical_legendre, mp_gauss_rule
 
 DPS = 40
@@ -182,14 +182,14 @@ def test_rk_step_matches_the_40_digit_step(y, h, spec):
 @example(y=COLLIDES, h=0.25)
 def test_equip_step_matches_the_40_digit_step_at_its_alpha(y, h):
     try:
-        rec = equip_step(3, KEPLER, y, h, CFG)
+        sol = equip_step(3, KEPLER, y, h, CFG)
     except (NonConvergence, Divergence):
         # a secant that fails at a later alpha is not excused: the exact
         # solve at alpha = 0 converges there, so this check fails
         reject_where_the_40_digit_solve_fails_too(EQUIP3, y, h)
-    y_next = mp_step(EQUIP3, y, h, rec.alpha)
-    assert distance(rec.state.y, y_next) <= bound(y)
-    if not rec.flagged:
+    y_next = mp_step(EQUIP3, y, h, sol.alphas[0])
+    assert distance(sol.states[0], y_next) <= bound(y)
+    if not sol.flagged:
         # the exact step at that alpha keeps the energy as the secant
         # promised, up to the energy change the float step's own error allows
         with mpmath.workdps(DPS):
@@ -210,22 +210,23 @@ def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
     with stacked_evaluations() as evaluations:
         window, attempt = _stepper(spec, KEPLER, CFG), _stepper(spec, KEPLER, CFG, doubling=True)
         try:
-            rec = attempt(y, h, 0.0, 0.0)
+            sol = attempt(y, h, 1, 0.0)
         except (NonConvergence, Divergence):
             # a step that crosses the collision (the second example) is beyond
             # the fixed-point iteration; the attempt may fail only where the
             # three steps it stands for fail too
             with pytest.raises((NonConvergence, Divergence)):
-                window(y, h, [0.0], 0.0)
-                (half,) = window(y, h / 2, [0.0], 0.0)
-                window(half.state.y, h / 2, [h / 2], half.alpha)
+                window(y, h, 1, 0.0)
+                half = window(y, h / 2, 1, 0.0)
+                window(half.states[0], h / 2, 1, half.alphas[0])
             reject()
-    assert len(evaluations[0]) == (rec.alpha_iters if spec.kind == "equip" else 1)
-    (a_full, a_half, a_last), _ = returned_evaluation(evaluations, rec)
-    assert rec.alpha == a_last
+    assert len(evaluations[0]) == (sol.alpha_iters if spec.kind == "equip" else 1)
+    (a_full, a_half, a_last), _ = returned_evaluation(evaluations, sol)
+    assert sol.alphas[-1] == a_last
     full = mp_step(spec, y, h, a_full)
     halves = mp_step(spec, mp_step(spec, y, h / 2, a_half), h / 2, a_last)
-    assert distance(rec.state.y, halves) <= 2 * bound(y)
+    assert distance(sol.states[-1], halves) <= 2 * bound(y)
+    scale = 2 ** spec.order - 1
     with mpmath.workdps(DPS):
-        err = max(abs(u - v) for u, v in zip(full, halves)) / (2 ** spec.order - 1)
-    assert abs(rec.err_est - float(err)) <= 3 * bound(y) / (2 ** spec.order - 1)
+        err = max(abs(u - v) for u, v in zip(full, halves)) / scale
+    assert abs(doubling_error(sol, spec.order) - float(err)) <= 3 * bound(y) / scale

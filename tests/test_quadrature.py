@@ -188,6 +188,10 @@ def test_rule_rejects_bad_counts():
         gauss_rule(0)
     with pytest.raises(ValueError):
         gauss_rule(MAX_NODES + 1)
+    # a count that is no integer used to escape as NumPy's or the comparison's TypeError
+    for n in (2.5, np.nan, "3"):
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            gauss_rule(n)
 
 
 def test_rule_arrays_are_immutable():
@@ -226,6 +230,9 @@ def test_eval_matches_gram_schmidt_oracle(gram_schmidt_basis):
 def test_eval_rejects_bad_index():
     with pytest.raises(ValueError):
         legendre_eval(0, 0.5)
+    for j in (2.5, np.nan, "3"):
+        with pytest.raises(ValueError, match="basis index must be an integer"):
+            legendre_eval(j, 0.5)
 
 
 def test_orthonormality_by_quadrature():
@@ -270,6 +277,9 @@ def test_vandermonde_rejects_too_many_columns():
         vandermonde(rule, 5)
     with pytest.raises(ValueError):
         vandermonde(rule, 0)
+    for n_cols in (2.5, np.nan, "3"):
+        with pytest.raises(ValueError, match="n_cols must be a positive integer"):
+            vandermonde(rule, n_cols)
 
 
 @pytest.mark.parametrize("k,s", [(4, 3), (8, 5), (12, 4)])

@@ -93,6 +93,10 @@ def test_xi_values():
     assert xi(3) == pytest.approx(1 / (2 * np.sqrt(35)), rel=1e-15)
     with pytest.raises(ValueError):
         xi(0)
+    # xi(2.5) used to return 0.102 and xi(nan) nan
+    for j in (2.5, np.nan, "3"):
+        with pytest.raises(ValueError, match="index must be an integer"):
+            xi(j)
 
 
 def test_core_matrix_s2():
@@ -151,6 +155,9 @@ def test_core_matrix_is_read_only():
 def test_core_matrix_rejects_s0():
     with pytest.raises(ValueError):
         core_matrix(0)
+    for s in (2.5, np.nan, "3"):
+        with pytest.raises(ValueError, match="s must be a positive integer"):
+            core_matrix(s)
 
 
 # ---------------------------------------------------------------------------
