@@ -200,14 +200,10 @@ def run_adaptive_periods(method: MethodSpec, sys: HamiltonianSystem, y0,
 
 def _drift_verdict(deviations, tol, ref_value) -> tuple[float, str]:
     n = len(deviations)  # drift_reports guarantees n >= 3
-    x = np.arange(1.0, n + 1.0)
-    dev = np.asarray(deviations)
-    slope, intercept = np.polyfit(x, dev, 1)
-    resid = dev - (slope * x + intercept)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(float(np.sum(resid**2)) / (n - 2) / sxx)
+    # numpy scales the covariance by the residual variance over n - 2 degrees of freedom
+    (slope, _), cov = np.polyfit(np.arange(1.0, n + 1.0), deviations, 1, cov=True)
     growth_floor = _DRIFT_GROWTH_FRACTION * tol * (1.0 + abs(ref_value))
-    drifting = slope > 3.0 * stderr and slope * n > growth_floor
+    drifting = slope > 3.0 * math.sqrt(cov[0, 0]) and slope * n > growth_floor
     return float(slope), "drifting" if drifting else "conserved"
 
 

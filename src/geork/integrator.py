@@ -236,31 +236,11 @@ class _Solve(NamedTuple):
         return any(self.flags)
 
 
-def _fixed(tab: ButcherTableau, sys: HamiltonianSystem, cfg: SolverConfig, doubling: bool = False):
-    """run(y, h, steps, alpha_prev=0.0): a window's _Solve, or with doubling an attempt's.
-
-    A shape's stacked system is kept from its first use, and its sweep
-    matrices while h stays the same.
-    """
-    systems, matrices = {}, {}  # per number of blocks; matrices holds (h, matrices at h)
-
-    def run(y, h, steps, alpha_prev=0.0):
-        k = 3 if doubling else steps
-        if k not in systems:
-            systems[k] = _stack([tab] * k, doubling)
-        A, b, links = systems[k]
-        if matrices.get(k, (None,))[0] != h:
-            matrices[k] = h, _sweep_matrices(A, h)
-        states, _, iters = _evaluate(A, b, links, sys, y, h, cfg, None, matrices[k][1])
-        return _Solve(states, [tab.alpha] * k, [False] * k, iters)
-    return run
-
-
 def rk_step(tab: ButcherTableau, sys: HamiltonianSystem, y: np.ndarray,
             h: float, cfg: SolverConfig, t: float = 0.0) -> StepRecord:
-    """One step of the tableau's method from (t, y) to (t + h, y_next)."""
-    sol = _fixed(tab, sys, cfg)(_start_state(sys, y, "y"), h, 1)
-    return StepRecord(State(t=t + h, y=sol.states[0]), h, tab.alpha, sol.stage_iters, 0)
+    """One stacked solve from (t, y) to (t + h, y_next); y is checked as the drivers check y0."""
+    states, _, iters = _evaluate(*_stack([tab]), sys, _start_state(sys, y, "y"), h, cfg)
+    return StepRecord(State(t=t + h, y=states[0]), h, tab.alpha, iters, 0)
 
 
 def _secant(alpha: float, g: float, alpha_old: float | None, g_old: float) -> float:
@@ -287,13 +267,15 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
     evaluation after the first that fails its stage solve or update, the
     evaluation of least largest |g| is returned, its blocks outside the
     tolerance flagged, counting all the work spent, failed sweeps included.
-    H(y) is taken after the first stage solve succeeds, which has evaluated
-    the field at y, so a y outside the field's domain fails as a Divergence
-    before any energy evaluation.  A failed first evaluation raises, as does
-    any failed evaluation of an attempt, whose driver can reduce h.
+    y is checked as rk_step checks it, before any tableau or evaluation.  H(y)
+    is taken after the first stage solve succeeds, which has evaluated the
+    field at y, so a y outside the field's domain fails as a Divergence before
+    any energy evaluation.  A failed first evaluation raises, as does any
+    failed evaluation of an attempt, whose driver can reduce h.
     """
     if not isinstance(steps, Integral) or steps < 1 or doubling and steps != 1:
         raise ValueError(f"steps must be an integer >= 1, and 1 for an attempt, got {steps!r}")
+    y = _start_state(sys, y, "y")
     k = 3 if doubling else steps
     tabs = [build_equip_tableau(s, alpha_prev)] * k
     alpha, alpha_old, g_old = [tabs[0].alpha] * k, [None] * k, [0.0] * k
@@ -340,14 +322,24 @@ def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig,
     solve(y, h, steps, alpha_prev) gives the _Solve of a window of that many
     fixed steps, every EQUIP secant starting from alpha_prev, or with
     doubling of one step-doubling attempt (steps = 1).  Gauss and HBVM build
-    their tableau once here.
+    their tableau once here, keep a shape's stacked system from its first
+    use, and its sweep matrices while h stays the same.
     """
     if method.kind == "equip":
         def solve(y, h, steps, alpha_prev):
             # integrator.equip_step is looked up at each call, where the benchmark wraps it
             return equip_step(method.s, sys, y, h, cfg, alpha_prev, steps=steps, doubling=doubling)
         return solve
-    return _fixed(build_tableau(method), sys, cfg, doubling)
+    tab, kept = build_tableau(method), {}  # per number of blocks: (system, h, matrices at h)
+
+    def solve(y, h, steps, alpha_prev):
+        k = 3 if doubling else steps
+        system, h_kept, matrices = kept.get(k) or (_stack([tab] * k, doubling), None, None)
+        matrices = matrices if h_kept == h else _sweep_matrices(system[0], h)
+        kept[k] = system, h, matrices
+        states, _, iters = _evaluate(*system, sys, y, h, cfg, None, matrices)
+        return _Solve(states, [tab.alpha] * k, [False] * k, iters)
+    return solve
 
 
 def _start_state(sys: HamiltonianSystem, y0, name: str = "y0") -> np.ndarray:
@@ -448,7 +440,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
                     err_est = (float(abs(sol.states[0] - sol.states[-1]).max())
                                / (2.0 ** method.order - 1.0))
                 if sol is not None and err_est <= tol:
-                    y, alpha_prev = sol.states[-1], sol.alphas[-1]
+                    y, alpha_prev = sol.states[-1].copy(), sol.alphas[-1]
                     t = stop if lands_on_stop else t + h
                     records.append(StepRecord(State(t=t, y=y), h, alpha_prev, sol.stage_iters,
                                               sol.alpha_iters, err_est, sol.flagged))

@@ -322,6 +322,21 @@ def test_drift_verdict_rule_synthetic():
     assert all(r.verdict == "conserved" for r in creep)
 
 
+@pytest.mark.parametrize("ratio, verdict", [(2.5, "conserved"), (3.5, "drifting")])
+def test_drift_verdict_takes_the_slope_error_over_n_minus_2_degrees(ratio, verdict):
+    # at x = 1, 2, 3 the series 1e-6 + s x + c (1, -2, 1) fits slope s with
+    # residuals c (1, -2, 1), so its standard error is sqrt(6 c^2 / (n - 2) / 2)
+    # = sqrt(3) |c| and c sets slope / stderr to ratio; a covariance over n
+    # degrees of freedom reads 2.5 as drifting, an unscaled one 3.5 as
+    # conserved.  Both grow past the floor, 0.01 tol (1 + |ref|) = 2e-10
+    s = 1e-6
+    c = s / (ratio * math.sqrt(3.0))
+    series = 1e-6 + s * np.arange(1.0, 4.0) + c * np.array([1.0, -2.0, 1.0])
+    slope, got = experiments._drift_verdict(series.tolist(), 1e-8, 1.0)
+    assert got == verdict
+    assert slope == pytest.approx(s, rel=1e-9) and 3 * slope > 2e-10
+
+
 def test_drift_study_smoke():
     reports = drift_study([GAUSS3], 0.3, 3, 1e-6, SolverConfig())
     assert len(reports) == 2

@@ -852,22 +852,23 @@ def test_fixed_tableau_window_is_never_flagged(method, cfg):
 
 @pytest.mark.parametrize("method", [GAUSS3, HBVM63], ids=str)
 def test_fixed_solver_keeps_its_systems_bit_for_bit(method, cfg):
-    # one closure keeps each shape's stacked system, and its sweep matrices
-    # while h stays the same: moving h or the window length and back gives
-    # the solves of fresh closures, bit for bit
+    # a Gauss or HBVM solve keeps each shape's stacked system, and its sweep
+    # matrices while h stays the same: moving h or the window length and
+    # back gives the solves of fresh closures, bit for bit
     sys, state0 = kepler_system(0.6)
-    tab, y, W, h1, h2 = build_tableau(method), state0.y, integrator._WINDOW, T / 100, T / 70
+    y, W, h1, h2 = state0.y, integrator._WINDOW, T / 100, T / 70
 
     def assert_same(kept, fresh):
         np.testing.assert_array_equal(kept.states, fresh.states)
         assert kept[1:] == fresh[1:]
 
-    attempt = integrator._fixed(tab, sys, cfg, doubling=True)
+    attempt = _stepper(method, sys, cfg, doubling=True)
     for h in (h1, h2, h1):
-        assert_same(attempt(y, h, 1), integrator._fixed(tab, sys, cfg, doubling=True)(y, h, 1))
-    window = integrator._fixed(tab, sys, cfg)
+        assert_same(attempt(y, h, 1, 0.0),
+                    _stepper(method, sys, cfg, doubling=True)(y, h, 1, 0.0))
+    window = _stepper(method, sys, cfg)
     for h, n in ((h1, W), (h1, 3), (h2, W), (h1, 3), (h1, W)):
-        kept, fresh = window(y, h, n), integrator._fixed(tab, sys, cfg)(y, h, n)
+        kept, fresh = window(y, h, n, 0.0), _stepper(method, sys, cfg)(y, h, n, 0.0)
         assert len(kept.states) == len(fresh.states) == n
         assert_same(kept, fresh)
 
@@ -1001,13 +1002,33 @@ def test_equip_step_takes_a_count_of_steps(cfg):
             equip_step(3, untouchable_system(), np.array([1.0, 0.0]), 0.1, cfg, 0.0, t)
 
 
-@pytest.mark.parametrize("y", [np.zeros(3), np.zeros((1, 2)), np.zeros((2, 2)), [1.0, np.nan]],
-                         ids=["3", "1x2", "2x2", "nan"])
-def test_rk_step_checks_its_state_as_the_drivers_do(y, cfg):
-    # a wrongly shaped state used to fail inside the stage solve, on a
-    # NumPy broadcast error
+ONE_STEP = {"rk_step": lambda sys, y, h, cfg: rk_step(build_gauss(3), sys, y, h, cfg),
+            "equip_step": lambda sys, y, h, cfg: equip_step(3, sys, y, h, cfg)}
+BAD_STATES = {"3": np.zeros(3), "1x2": np.zeros((1, 2)), "2x2": np.zeros((2, 2)),
+              "nan": [1.0, np.nan]}
+
+
+# the test is named for rk_step, so only equip_step's cases name their step
+@pytest.mark.parametrize("step, y", [
+    pytest.param(ONE_STEP[name], y, id=key if name == "rk_step" else f"{name}-{key}")
+    for name in ONE_STEP for key, y in BAD_STATES.items()])
+def test_rk_step_checks_its_state_as_the_drivers_do(step, y, cfg):
+    # a wrongly shaped or non-finite state is the caller's error, raised
+    # before the problem is evaluated, not a NumPy error or a Divergence
     with pytest.raises(ValueError, match=r"^y must be finite with shape \(2,\)"):
-        rk_step(build_gauss(3), untouchable_system(), y, 0.1, cfg)
+        step(untouchable_system(), y, 0.1, cfg)
+
+
+def test_one_step_takes_a_list_state(cfg):
+    # a list of the right shape is the ndarray state, bit for bit
+    sys, state0 = kepler_system(0.6)
+    listed, array = (ONE_STEP["rk_step"](sys, y, T / 100, cfg) for y in (list(state0.y), state0.y))
+    np.testing.assert_array_equal(listed.state.y, array.state.y)
+    assert listed.stage_iters == array.stage_iters
+    listed, array = (ONE_STEP["equip_step"](sys, y, T / 100, cfg)
+                     for y in (list(state0.y), state0.y))
+    np.testing.assert_array_equal(listed.states, array.states)
+    assert listed[1:] == array[1:]
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
@@ -1178,6 +1199,15 @@ def test_adaptive_lands_exactly_and_respects_tol(cfg):
     # the trajectory is genuinely accurate at that tolerance
     err = np.linalg.norm(recs[-1].state.y - kepler_reference(0.6, T))
     assert err <= 1e-5
+
+
+@pytest.mark.parametrize("method", [GAUSS3, EQUIP3], ids=str)
+def test_adaptive_records_own_their_states(method, cfg):
+    # a record's state is a copy, not a view of its attempt's (3, dim)
+    # states, which would keep the full step and the first half-step alive
+    sys, state0 = kepler_system(0.6)
+    (recs,) = integrate_adaptive(method, sys, state0.y, [T], 1e-8, cfg)
+    assert recs and all(r.state.y.base is None and r.state.y.shape == (4,) for r in recs)
 
 
 def test_adaptive_stepsize_span_hard_orbit(cfg):
