@@ -3,8 +3,8 @@
 Every step and step-doubling attempt, of every method, is one solve of a
 stacked stage system Y_i = y + h sum_j a_ij f(Y_j) and one field call for
 its updates.  Consecutive steps are one step of their composed tableau, so
-a step is the 1-block case, a fixed run solves _WINDOW steps at a time, and
-an attempt is the 3-block case of the full step and the two half-steps.  A
+a step is the 1-block case, a fixed run solves _stepper's W steps at once,
+and an attempt is the 3-block case of the full step and the two half-steps.  A
 solve returns its per-block states, alphas and flags as a _Solve, and the
 drivers and rk_step stamp the times and make the records.  The solve is a
 fixed-point iteration, which preserves the tableau exactly and is
@@ -56,7 +56,8 @@ __all__ = [
 H_MIN = 1e-8
 _DIVERGENCE_LIMIT = 1e8
 _SECANT_PROBE = 1e-4
-_WINDOW = 8  # fixed steps per stacked solve
+_WINDOW = 8  # fixed EQUIP steps per stacked solve
+_WINDOW_STAGES = 96  # stage rows per fixed Gauss/HBVM stacked solve
 
 
 class IntegrationError(RuntimeError):
@@ -317,19 +318,23 @@ def equip_step(s: int, sys: HamiltonianSystem, y: np.ndarray, h: float, cfg: Sol
 
 def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig,
              doubling: bool = False):
-    """The one solve a driver calls, and the one place method.kind is read.
+    """(solve, W): the one solve a driver calls, and the one place method.kind is read.
 
     solve(y, h, steps, alpha_prev) gives the _Solve of a window of that many
     fixed steps, every EQUIP secant starting from alpha_prev, or with
     doubling of one step-doubling attempt (steps = 1).  Gauss and HBVM build
     their tableau once here, keep a shape's stacked system from its first
-    use, and its sweep matrices while h stays the same.
+    use, and its sweep matrices while h stays the same.  W is the steps a
+    fixed run solves at a time: max(1, _WINDOW_STAGES // stages) for Gauss
+    and HBVM, whose sweeps cost their NumPy calls until the dense product of
+    96 stage rows takes over, and _WINDOW = 8 for EQUIP, whose longer windows
+    move the h = 2 pi / 200 convergence sample.
     """
     if method.kind == "equip":
         def solve(y, h, steps, alpha_prev):
             # integrator.equip_step is looked up at each call, where the benchmark wraps it
             return equip_step(method.s, sys, y, h, cfg, alpha_prev, steps=steps, doubling=doubling)
-        return solve
+        return solve, _WINDOW
     tab, kept = build_tableau(method), {}  # per number of blocks: (system, h, matrices at h)
 
     def solve(y, h, steps, alpha_prev):
@@ -339,7 +344,7 @@ def _stepper(method: MethodSpec, sys: HamiltonianSystem, cfg: SolverConfig,
         kept[k] = system, h, matrices
         states, _, iters = _evaluate(*system, sys, y, h, cfg, None, matrices)
         return _Solve(states, [tab.alpha] * k, [False] * k, iters)
-    return solve
+    return solve, max(1, _WINDOW_STAGES // len(tab.b))
 
 
 def _start_state(sys: HamiltonianSystem, y0, name: str = "y0") -> np.ndarray:
@@ -354,8 +359,9 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
                     h: float, n_steps: int, cfg: SolverConfig) -> list[StepRecord]:
     """Apply n_steps constant-h steps from t = 0; returns one record per step.
 
-    Steps run _WINDOW at a time as one stacked solve, and the last window
-    holds the steps left over; an EQUIP window's steps start their secants
+    Steps run W at a time as one stacked solve, with _stepper's W (96 //
+    stages for Gauss and HBVM, 8 for EQUIP), and the last window holds the
+    steps left over; an EQUIP window's steps start their secants
     from the last alpha of the window before, and a window with a flagged
     step is solved again one step at a time.  When a window fails, its steps
     and the rest of the run go one step at a time, so a failure names the
@@ -364,19 +370,19 @@ def integrate_fixed(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarray,
     if not isinstance(n_steps, Integral) or n_steps < 1 or not 0.0 < h < np.inf:  # a NaN h fails
         raise ValueError("n_steps must be an integer >= 1 and h positive and finite, "
                          f"got n_steps={n_steps}, h={h}")
-    window = _stepper(method, sys, cfg)
+    window, W = _stepper(method, sys, cfg)
     y = _start_state(sys, y0)
     alpha_prev, records, batch, windowed = 0.0, [], None, True
     try:
         for k in range(n_steps):
-            if windowed and k % _WINDOW == 0:
+            if windowed and k % W == 0:
                 try:
-                    batch = window(y, h, min(_WINDOW, n_steps - k), alpha_prev)
+                    batch = window(y, h, min(W, n_steps - k), alpha_prev)
                 except (NonConvergence, Divergence):
                     batch, windowed = None, False  # one step at a time from here on
                 if batch and batch.flagged:
                     batch = None  # a flagged window's steps go one at a time
-            sol, i = (batch, k % _WINDOW) if batch else (window(y, h, 1, alpha_prev), 0)
+            sol, i = (batch, k % W) if batch else (window(y, h, 1, alpha_prev), 0)
             y, alpha_prev = sol.states[i], sol.alphas[i]
             records.append(StepRecord(State(t=k * h + h, y=y), h, alpha_prev, sol.stage_iters,
                                       sol.alpha_iters, flagged=sol.flags[i]))
@@ -420,7 +426,7 @@ def integrate_adaptive(method: MethodSpec, sys: HamiltonianSystem, y0: np.ndarra
     # NaN fails every comparison, and a finite last stop bounds the others
     if not (stops and all(a < b for a, b in zip([0.0, *stops], stops)) and stops[-1] < np.inf):
         raise ValueError(f"t_stops must be finite and increase from above 0, got {t_stops}")
-    attempt = _stepper(method, sys, cfg, doubling=True)
+    attempt, _ = _stepper(method, sys, cfg, doubling=True)
     y = _start_state(sys, y0)
     t, alpha_prev, stop = 0.0, 0.0, stops[0]
     runs: list[list[StepRecord]] = []

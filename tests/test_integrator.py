@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from hypothesis.extra import numpy as hnp
 
 from geork import integrator
-from geork.cli import CONVERGENCE_CONFIG
+from geork.cli import CONVERGENCE_CONFIG, _build_parser, parse_method_list
 from geork.dynamics import (
     DomainError, HamiltonianSystem, angular_momentum, kepler_reference, kepler_system,
     quartic_oscillator,
@@ -130,7 +130,8 @@ def doubling_error(sol, order):
 
 def step_doubling_error(method, sys, y, h, cfg):
     """The controller's error estimate for one attempt of size h from y."""
-    return doubling_error(_stepper(method, sys, cfg, doubling=True)(y, h, 1, 0.0), method.order)
+    attempt, _ = _stepper(method, sys, cfg, doubling=True)
+    return doubling_error(attempt(y, h, 1, 0.0), method.order)
 
 
 def assert_record_of(rec, sol, h, i=0):
@@ -571,14 +572,14 @@ def test_steps_look_the_field_up_as_integrator_canonical_field(monkeypatch, cfg)
     # a Gauss attempt: each sweep of its one stacked solve, and the update,
     # see the full step's and both half-steps' 3n = 9 stages at once
     calls.clear()
-    attempt = _stepper(GAUSS3, sys, cfg, doubling=True)
+    attempt, _ = _stepper(GAUSS3, sys, cfg, doubling=True)
     sol = attempt(state0.y, T / 100, 1, 0.0)
     assert sol.stage_iters >= 2
     assert calls == [(9, 4)] * (sol.stage_iters + 1)
     # an EQUIP attempt: each evaluation is one stacked solve and one update,
     # on the three blocks' 9 stages
     calls.clear()
-    attempt = _stepper(EQUIP3, sys, cfg, doubling=True)
+    attempt, _ = _stepper(EQUIP3, sys, cfg, doubling=True)
     sol = attempt(state0.y, T / 100, 1, 0.0)
     assert sol.alpha_iters > 1 and not sol.flagged
     assert calls == [(9, 4)] * (sol.stage_iters + sol.alpha_iters)
@@ -614,7 +615,7 @@ def test_equip_looks_up_its_step_and_tableau_as_integrator_names(monkeypatch, cf
     # whose alpha moved
     calls.update(equip_step=0, build_equip_tableau=0)
     built.clear()
-    attempt = _stepper(EQUIP3, sys, cfg, doubling=True)
+    attempt, _ = _stepper(EQUIP3, sys, cfg, doubling=True)
     with stacked_evaluations() as (alphas, _):
         sol = attempt(state0.y, T / 100, 1, 0.0)
     moved = [a for old, new in zip(alphas, alphas[1:]) for a_old, a in zip(old, new) if a != a_old]
@@ -705,25 +706,35 @@ def rk_step_loop(tab, sys, y, h, n_steps, cfg):
     return states, None
 
 
+def window_of(method):
+    """W, the steps a fixed run of method solves at a time."""
+    return _stepper(method, quartic_oscillator()[0], SolverConfig())[1]
+
+
+FIXED_METHODS = [*(MethodSpec("gauss", s) for s in range(1, 5)),
+                 *(MethodSpec("hbvm", 3, k) for k in (4, 6, 9, 12))]
+
+
 @settings(deadline=None, max_examples=60)
-@example(problem="kepler", e=0.6, method=HBVM123, divisor=50.0,
-         n_steps=2 * integrator._WINDOW + 3, budget=100)
+@example(problem="kepler", e=0.6, run=(HBVM123, 2 * window_of(HBVM123) + 3), divisor=50.0,
+         budget=100)
 @given(problem=st.sampled_from(["kepler", "quartic"]), e=st.floats(0.0, 0.9),
-       method=st.sampled_from([*(MethodSpec("gauss", s) for s in range(1, 5)),
-                               *(MethodSpec("hbvm", 3, k) for k in (4, 6, 9, 12))]),
-       divisor=st.floats(50.0, 200.0), n_steps=st.integers(1, 3 * integrator._WINDOW),
-       budget=st.sampled_from([6, 100]))
-def test_windowed_fixed_steps_match_cold_rk_steps(problem, e, method, divisor, n_steps, budget):
-    # a fixed Gauss/HBVM run solves _WINDOW steps at a time, and its last
-    # window holds the steps left over.  h = 2 pi / divisor spans the default
-    # convergence campaign's stepsizes (divisors 50 to 200), up to where
-    # Kepler runs near e = 0.9 fail.  Each record, at t = k h + h, is within
-    # the stage tolerance of the step from the record before it solved 1000
-    # times tighter.  (A cold rk_step can miss that step by more where the
-    # sweep contracts slowly: 1.17 tolerances at e = 0.73, h = 2 pi / 50,
-    # Gauss(1); a window sweeps until its slowest step converges.)  The
-    # starved budget of 6 sweeps fails windows and steps, and a run that
-    # fails names the step and the error type of a plain rk_step loop
+       run=st.sampled_from(FIXED_METHODS).flatmap(
+           lambda method: st.tuples(st.just(method), st.integers(1, 3 * window_of(method)))),
+       divisor=st.floats(50.0, 200.0), budget=st.sampled_from([6, 100]))
+def test_windowed_fixed_steps_match_cold_rk_steps(problem, e, run, divisor, budget):
+    # a fixed Gauss/HBVM run solves W steps at a time, and its last window
+    # holds the steps left over; n_steps reaches three of the method's own
+    # windows.  h = 2 pi / divisor spans the default convergence campaign's
+    # stepsizes (divisors 50 to 200), up to where Kepler runs near e = 0.9
+    # fail.  Each record, at t = k h + h, is within the stage tolerance of
+    # the step from the record before it solved 1000 times tighter.  (A cold
+    # rk_step can miss that step by more where the sweep contracts slowly:
+    # 1.17 tolerances at e = 0.73, h = 2 pi / 50, Gauss(1); a window sweeps
+    # until its slowest step converges.)  The starved budget of 6 sweeps
+    # fails windows and steps, and a run that fails names the step and the
+    # error type of a plain rk_step loop
+    method, n_steps = run
     cfg = SolverConfig(stage_tol=1e-10, max_stage_iters=budget)
     tight = SolverConfig(stage_tol=1e-13)
     sys, state0 = kepler_system(e) if problem == "kepler" else quartic_oscillator()
@@ -845,7 +856,8 @@ def test_fixed_tableau_window_is_never_flagged(method, cfg):
     # a Gauss or HBVM window returns the same _Solve as an EQUIP one, so the
     # fixed driver reads its flag alike, and it has no secant to flag
     sys, state0 = kepler_system(0.6)
-    sol = _stepper(method, sys, cfg)(state0.y, T / 100, 3, 0.0)
+    window, _ = _stepper(method, sys, cfg)
+    sol = window(state0.y, T / 100, 3, 0.0)
     assert isinstance(sol, integrator._Solve) and len(sol.states) == 3
     assert not sol.flagged and sol.flags == [False] * 3
 
@@ -854,23 +866,78 @@ def test_fixed_tableau_window_is_never_flagged(method, cfg):
 def test_fixed_solver_keeps_its_systems_bit_for_bit(method, cfg):
     # a Gauss or HBVM solve keeps each shape's stacked system, and its sweep
     # matrices while h stays the same: moving h or the window length and
-    # back gives the solves of fresh closures, bit for bit
+    # back gives the solves of fresh closures, bit for bit; W is the
+    # method's own window
     sys, state0 = kepler_system(0.6)
-    y, W, h1, h2 = state0.y, integrator._WINDOW, T / 100, T / 70
+    y, h1, h2 = state0.y, T / 100, T / 70
 
     def assert_same(kept, fresh):
         np.testing.assert_array_equal(kept.states, fresh.states)
         assert kept[1:] == fresh[1:]
 
-    attempt = _stepper(method, sys, cfg, doubling=True)
+    def fresh_solve(doubling=False):
+        return _stepper(method, sys, cfg, doubling)[0]
+
+    attempt, _ = _stepper(method, sys, cfg, doubling=True)
     for h in (h1, h2, h1):
-        assert_same(attempt(y, h, 1, 0.0),
-                    _stepper(method, sys, cfg, doubling=True)(y, h, 1, 0.0))
-    window = _stepper(method, sys, cfg)
+        assert_same(attempt(y, h, 1, 0.0), fresh_solve(doubling=True)(y, h, 1, 0.0))
+    window, W = _stepper(method, sys, cfg)
     for h, n in ((h1, W), (h1, 3), (h2, W), (h1, 3), (h1, W)):
-        kept, fresh = window(y, h, n, 0.0), _stepper(method, sys, cfg)(y, h, n, 0.0)
+        kept, fresh = window(y, h, n, 0.0), fresh_solve()(y, h, n, 0.0)
         assert len(kept.states) == len(fresh.states) == n
         assert_same(kept, fresh)
+
+
+@pytest.mark.parametrize("method, W", [(GAUSS3, 32), (MethodSpec("hbvm", 3, 4), 24),
+                                       (HBVM63, 16), (MethodSpec("hbvm", 3, 9), 10),
+                                       (HBVM123, 8), (EQUIP3, 8)], ids=str)
+def test_fixed_run_solves_the_method_s_window_at_a_time(method, W, cfg):
+    # Gauss and HBVM solve max(1, 96 // stages) steps at a time, EQUIP 8, so
+    # a run of 2W + 3 steps is solves of W, W and 3 blocks.  An EQUIP window
+    # solves once per secant evaluation, each from the window's start y
+    blocks, solve, n = [], integrator.solve_stages, len(build_tableau(method).b)
+
+    def counted(A, sys, y, *args):
+        blocks.append((len(A) // n, y.tobytes()))
+        return solve(A, sys, y, *args)
+
+    sys, state0 = kepler_system(0.6)
+    with mock.patch.object(integrator, "solve_stages", counted):
+        recs = integrate_fixed(method, sys, state0.y, T / 100, 2 * W + 3, cfg)
+    assert len(recs) == 2 * W + 3 and not any(rec.flagged for rec in recs)
+    assert [k for (k, _), _ in itertools.groupby(blocks)] == [W, W, 3]
+    assert window_of(method) == W
+
+
+def test_campaign_grid_runs_every_gauss_and_hbvm_window_once():
+    # on the default convergence grid over the benchmark's 2 periods, no
+    # Gauss or HBVM window fails or falls back to single steps: a cell of n
+    # steps is ceil(n / W) solves.  Gauss(3)'s L round-off grows with W
+    # (1.15e-14 at h = 2 pi / 140 over 10 periods, against 1.78e-15 at
+    # W = 8) but stays far inside 1e-13
+    args = _build_parser().parse_args(["convergence"])
+    sys, state0 = kepler_system(args.e)
+    solves, failed, solve = [], [], integrator.solve_stages
+
+    def counted(*a):
+        solves.append(len(a[0]))
+        try:
+            return solve(*a)
+        except IntegrationError as exc:
+            failed.append(exc)
+            raise
+
+    fixed = [m for m in parse_method_list(args.methods) if m.kind != "equip"]
+    assert len(fixed) == 5
+    with mock.patch.object(integrator, "solve_stages", counted):
+        for method, d in itertools.product(fixed, map(int, args.h_divisors.split(","))):
+            solves.clear()
+            recs = integrate_fixed(method, sys, state0.y, T / d, 2 * d, CONVERGENCE_CONFIG)
+            assert len(recs) == 2 * d and len(solves) == -(-2 * d // window_of(method))
+    assert not failed
+    recs = integrate_fixed(GAUSS3, sys, state0.y, T / 140, 1400, CONVERGENCE_CONFIG)
+    L = angular_momentum(np.stack([rec.state.y for rec in recs]))
+    assert np.max(np.abs(L - angular_momentum(state0.y))) <= 1e-13
 
 
 def test_campaign_equip_errors_do_not_depend_on_the_window(monkeypatch):
@@ -893,10 +960,10 @@ def check_failed_window_runs_the_rest_one_step_at_a_time(method, cfg):
 
     That window and the rest of the run go step by step, bit for bit the
     driver's step loop, and no window is tried again (every later field call
-    is a single step's).
+    is a single step's).  W is the method's own window.
     """
     sys, state0 = kepler_system(0.6)
-    W, h = integrator._WINDOW, T / 100
+    (step, W), h = _stepper(method, sys, cfg), T / 100
     sweeps, solve = [], integrator.solve_stages
 
     def counted(*args):
@@ -916,7 +983,6 @@ def check_failed_window_runs_the_rest_one_step_at_a_time(method, cfg):
 
     trapped = dataclasses.replace(sys, force=force)
     recs = integrate_fixed(method, trapped, state0.y, h, W + 2, cfg)
-    step = _stepper(method, sys, cfg)
     y, alpha = state0.y, 0.0
     for k, rec in enumerate(recs):
         single = step(y, h, 1, alpha)
@@ -1096,7 +1162,7 @@ def test_stacked_attempt_is_the_full_step_and_two_half_steps(r, theta, p, h, met
     full = rk_step(tab, sys, y, h, cfg)
     half = rk_step(tab, sys, y, h / 2, cfg)
     last = rk_step(tab, sys, half.state.y, h / 2, cfg, h / 2)
-    attempt = _stepper(method, sys, cfg, doubling=True)
+    attempt, _ = _stepper(method, sys, cfg, doubling=True)
     sol = attempt(y, h, 1, 0.0)
     bound = 2 * cfg.stage_tol * (1 + np.max(np.abs(y)))
     assert (sol.alphas, sol.flags, sol.alpha_iters) == ([0.0] * 3, [False] * 3, 0)
@@ -1120,7 +1186,8 @@ def test_stacked_equip_attempt_is_three_sequential_equip_steps(r, theta, p, h):
     cfg = SolverConfig()
     sys, _ = kepler_system(0.6)
     y = np.array([r * np.cos(theta), r * np.sin(theta), *p])
-    step, attempt = _stepper(EQUIP3, sys, cfg), _stepper(EQUIP3, sys, cfg, doubling=True)
+    step, _ = _stepper(EQUIP3, sys, cfg)
+    attempt, _ = _stepper(EQUIP3, sys, cfg, doubling=True)
     with stacked_evaluations() as evaluations:
         try:
             sol = attempt(y, h, 1, 0.0)
@@ -1158,13 +1225,13 @@ def test_stacked_attempt_sweeps_no_more_than_its_full_step(monkeypatch, cfg):
     stepper = integrator._stepper
 
     def recording(method, sys, cfg, doubling=False):
-        attempt = stepper(method, sys, cfg, doubling)
+        attempt, W = stepper(method, sys, cfg, doubling)
 
         def recorded(y, h, steps, alpha_prev):
             sol = attempt(y, h, steps, alpha_prev)
             attempts.append((y, h, sol.stage_iters))
             return sol
-        return recorded
+        return recorded, W
 
     monkeypatch.setattr(integrator, "_stepper", recording)
     sys, state0 = kepler_system(0.6)

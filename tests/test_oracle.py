@@ -208,7 +208,8 @@ def test_attempt_step_matches_the_40_digit_attempt(y, h, spec):
     # HBVM, one per secant evaluation for EQUIP) against the mp full step and
     # two half-steps, each EQUIP one at the alpha its block ended on
     with stacked_evaluations() as evaluations:
-        window, attempt = _stepper(spec, KEPLER, CFG), _stepper(spec, KEPLER, CFG, doubling=True)
+        window, _ = _stepper(spec, KEPLER, CFG)
+        attempt, _ = _stepper(spec, KEPLER, CFG, doubling=True)
         try:
             sol = attempt(y, h, 1, 0.0)
         except (NonConvergence, Divergence):
