@@ -1,9 +1,9 @@
 """Hamiltonian test problems: forces, invariants, references.
 
 Every problem has H(q, p) = |p|^2/2 + V(q), so it gives only its force
--grad V; the integrator composes the canonical field (p, force(q)).  State
-layout is (q_1..q_m, p_1..p_m).  Energies take (..., 2m) arrays and forces
-(..., m) arrays, broadcasting over leading axes: a stack is one call.
+-grad V; the integrator composes the canonical field (p, force(q)).  A State
+is a plain (t, y) record, y = (q_1..q_m, p_1..p_m).  Energies take (..., 2m)
+and forces (..., m) arrays, broadcasting over leading axes: a stack is one call.
 """
 
 from __future__ import annotations
@@ -37,14 +37,10 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Time plus state vector; non-finite entries signal upstream divergence."""
+    """Time plus state vector, a plain record: y is checked where it enters or a solve makes it."""
 
     t: float
     y: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.y).all():
-            raise ValueError(f"non-finite state at t={self.t}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -137,18 +137,19 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
                  matrices: tuple[np.ndarray, np.ndarray] | None = None):
     """Solve the stage system Y = y + hA f(Y) by partitioned fixed-point iteration.
 
-    Returns (stages, iterations).  Stages come back as an (n_stages, dim)
-    array (Q, P) with Q = q + hA P to round-off; the last sweep changed no
-    entry of either block by more than stage_tol * (1 + |y|_inf), which
-    bounds the P block's stage residual by about as much.  The iteration
-    starts from Y0, an (n_stages, dim) guess such as the stages of a nearby
-    tableau, or from y in every row when Y0 is None; the start changes only
-    the iteration count, not the tolerance the result meets.  matrices is
-    _sweep_matrices(A, h), for a caller that solves one system many times.
-    Negative h is legal (it runs the method backwards, used by the
-    reversibility checks).
+    Returns (stages, iterations): an (n_stages, dim) array (Q, P) with
+    Q = q + hA P to round-off.  Both stopping tests use the scale 1 + |y|_inf,
+    so a linear problem solves alike at any amplitude: the last sweep changed
+    no entry of either block by more than stage_tol times it, which bounds the
+    P block's stage residual by about as much, and a change above
+    _DIVERGENCE_LIMIT times it, or NaN, is a Divergence.  The iteration starts
+    from Y0, an (n_stages, dim) guess such as a nearby tableau's stages, or
+    from y in every row when Y0 is None; the start changes only the iteration
+    count, not the tolerance met.  matrices is _sweep_matrices(A, h), for a
+    caller that solves one system many times.  Negative h runs the method back.
     """
-    tol = cfg.stage_tol * (1.0 + abs(y).max())
+    scale = 1.0 + abs(y).max()
+    tol, limit = cfg.stage_tol * scale, _DIVERGENCE_LIMIT * scale
     hA, M = matrices or _sweep_matrices(A, h)
     n, m = len(A), sys.half_dim
     # base holds the force-free terms of Q and P
@@ -163,7 +164,7 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
             if res <= tol:
                 return Y, it
             # NaN fails the comparison, so a NaN or inf iterate is a blow-up too
-            if not (res <= _DIVERGENCE_LIMIT):
+            if not (res <= limit):
                 raise Divergence(f"stage iterates diverged at h={h}")
         raise NonConvergence(
             f"stage residual {res:.3e} > {tol:.3e} after {cfg.max_stage_iters} iterations (h={h})"
@@ -205,21 +206,21 @@ def _evaluate(A: np.ndarray, b: np.ndarray, links, sys: HamiltonianSystem, y: np
               h: float, cfg: SolverConfig, Y0: np.ndarray | None = None, matrices=None):
     """(states, stages, iterations) of _stack's (A, b, links) from y, one state per step.
 
-    Block i's increment is h b_i^T (P, force(Q)), and a non-finite one is a
-    Divergence.  A failure carries the stage sweeps it spent as its ``sweeps``.
+    Block i's increment is h b_i^T (P, force(Q)).  The states are checked here
+    alone: a non-finite one is a Divergence, and any failure carries its sweeps as ``sweeps``.
     """
     Y, iters = solve_stages(A, sys, y, h, cfg, Y0, matrices)
     try:
         F = np.concatenate([Y[:, sys.half_dim:], canonical_field(sys, Y)], axis=1)
         dy = h * (b @ F.reshape(len(b), b.shape[-1], -1))[:, 0]
-        if not np.isfinite(dy).all():
+        states = y + dy
+        for i in links:  # as rk_step adds them, a step goes on from the state before
+            states[i] = states[i - 1] + dy[i]
+        if not np.isfinite(states).all():
             raise Divergence(f"non-finite step result at h={h}")
     except Divergence as exc:
         exc.sweeps = iters
         raise
-    states = y + dy
-    for i in links:  # as rk_step adds them, a step goes on from the state before
-        states[i] = states[i - 1] + dy[i]
     return states, Y, iters
 
 

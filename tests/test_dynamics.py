@@ -5,7 +5,6 @@ from hypothesis.extra import numpy as hnp
 
 from geork.dynamics import (
     DomainError,
-    State,
     angular_momentum,
     kepler_reference,
     kepler_system,
@@ -265,10 +264,3 @@ def test_quartic_oscillator_basics():
     t = np.arange(6.0)
     diffs = np.diff(sys.energy(np.stack([t, t], axis=-1)), n=4)
     np.testing.assert_array_equal(diffs, [6.0, 6.0])
-
-
-def test_state_rejects_non_finite():
-    with pytest.raises(ValueError):
-        State(t=0.0, y=np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        State(t=0.0, y=np.array([np.inf, 0.0]))

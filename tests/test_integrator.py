@@ -1029,6 +1029,57 @@ def test_non_finite_update_is_divergence(method, cfg):
         integrate_fixed(method, trapped_system({2, 6}), y0, 0.1, 3, cfg)
 
 
+def overflowing_system():
+    """H = 0 and the force 0.85e308 everywhere.
+
+    From y = (0, 1e308) at h = 1 the stages stay finite, so the stage solve
+    converges on its second sweep, while the update p + h F overflows.
+    """
+    def energy(y):
+        return np.zeros(np.shape(y)[:-1])
+
+    return HamiltonianSystem(name="overflowing", half_dim=1, energy=energy,
+                             force=lambda q: np.full(np.shape(q), 0.85e308),
+                             invariants={"H": energy})
+
+
+def test_an_overflowing_update_is_a_divergence_from_its_solve(cfg):
+    # the stopping tests scale with 1 + |y|_inf, so these stages converge; the
+    # solve that makes the infinite state reports it, with its sweeps
+    sys, y, h = overflowing_system(), np.array([0.0, 1e308]), 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in (lambda: rk_step(build_gauss(3), sys, y, h, cfg),
+                     lambda: equip_step(3, sys, y, h, cfg)):
+            with pytest.raises(Divergence, match="non-finite step result") as exc:
+                step()
+            assert exc.value.sweeps == 2
+        for method in (GAUSS3, EQUIP3):
+            with pytest.raises(Divergence, match="step 0"):
+                integrate_fixed(method, sys, y, h, 3, cfg)
+
+
+@pytest.mark.parametrize("method", [GAUSS3, HBVM63, EQUIP3], ids=str)
+def test_a_linear_problem_integrates_the_same_at_any_amplitude(method, harmonic, cfg):
+    # both stopping tests of the stage solve scale with 1 + |y|_inf, so a
+    # scaled start makes the same solves, and states scaled to round-off
+    sys, state0 = harmonic
+    runs = {}
+    for amplitude in (1.0, 1e9, 1e12, 1e100):
+        sizes = []
+
+        def solve(A, *args, **kwargs):
+            sizes.append(len(A))
+            return solve_stages(A, *args, **kwargs)
+
+        with mock.patch.object(integrator, "solve_stages", solve):
+            records = integrate_fixed(method, sys, amplitude * state0.y, 0.1, 40, cfg)
+        runs[amplitude] = sizes, np.array([r.state.y for r in records]) / amplitude
+    sizes_1, states_1 = runs[1.0]
+    for amplitude, (sizes, states) in runs.items():
+        assert sizes == sizes_1, amplitude
+        np.testing.assert_allclose(states, states_1, rtol=0.0, atol=1e-14, err_msg=str(amplitude))
+
+
 def test_drivers_reject_equip1_before_any_solve(cfg):
     # EQUIP(1) is not a method, so no driver can be handed one
     with pytest.raises(ValueError, match="equip:s=1"):
