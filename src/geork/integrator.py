@@ -4,11 +4,12 @@ Every step and step-doubling attempt, of every method, is one solve of a
 stacked stage system Y_i = y + h sum_j a_ij f(Y_j) and one field call for
 its updates.  Consecutive steps are one step of their composed tableau, so
 a step is the 1-block case, a fixed run solves _stepper's W steps at once,
-and an attempt is the 3-block case of the full step and the two half-steps.  A
-solve returns its per-block states, alphas and flags as a _Solve, and the
-drivers and rk_step stamp the times and make the records.  The solve is a
-fixed-point iteration, which preserves the tableau exactly and is
-contractive at the benchmark stepsizes.  As H = |p|^2/2 + V(q),
+and an attempt is the 3-block case of the full step and the two half-steps.
+The last shape's layout is kept, so an EQUIP evaluation rewrites only the
+diagonal blocks.  A solve returns its per-block states, alphas and flags as
+a _Solve, and the drivers and rk_step stamp the times and make the records.
+The solve is a fixed-point iteration, which preserves the tableau exactly
+and is contractive at the benchmark stepsizes.  As H = |p|^2/2 + V(q),
 f(Q, P) = (P, F(Q)), and each sweep is partitioned: P = p + hA F(Q) from the
 old positions, then Q = q + hA P from the new momenta, with one force call;
 on a linear problem that squares the plain sweep's contraction factor.
@@ -26,6 +27,7 @@ step; only the adaptive driver changes h, with context.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -125,7 +127,7 @@ def canonical_field(sys: HamiltonianSystem, y: np.ndarray) -> np.ndarray:
 
 def _sweep_matrices(A: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """(hA, M) of a sweep; rows 2i, 2i + 1 of M are stage i's Q and P force terms."""
-    if not np.isfinite(h):
+    if not math.isfinite(h):
         raise ValueError("stepsize must be finite")
     hA = h * A
     # Q = q + hA P = q + hA p + (hA)^2 F(Q), so one product gives both
@@ -142,18 +144,19 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
     so a linear problem solves alike at any amplitude: the last sweep changed
     no entry of either block by more than stage_tol times it, which bounds the
     P block's stage residual by about as much, and a change above
-    _DIVERGENCE_LIMIT times it, or NaN, is a Divergence.  The iteration starts
+    _DIVERGENCE_LIMIT times it, inf or NaN, is a Divergence.  The iteration starts
     from Y0, an (n_stages, dim) guess such as a nearby tableau's stages, or
     from y in every row when Y0 is None; the start changes only the iteration
     count, not the tolerance met.  matrices is _sweep_matrices(A, h), for a
     caller that solves one system many times.  Negative h runs the method back.
     """
-    scale = 1.0 + abs(y).max()
+    # Python floats, so a limit past the largest float is inf, without a warning
+    scale = 1.0 + max(map(abs, y.tolist()))
     tol, limit = cfg.stage_tol * scale, _DIVERGENCE_LIMIT * scale
     hA, M = matrices or _sweep_matrices(A, h)
     n, m = len(A), sys.half_dim
     # base holds the force-free terms of Q and P
-    rows = np.repeat(y[None], n, axis=0)
+    rows = y[None].repeat(n, axis=0)
     base = np.concatenate([rows[:, :m] + hA @ rows[:, m:], rows[:, m:]], axis=1)
     Y = rows if Y0 is None else Y0
     try:
@@ -163,8 +166,8 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
             Y = Z
             if res <= tol:
                 return Y, it
-            # NaN fails the comparison, so a NaN or inf iterate is a blow-up too
-            if not (res <= limit):
+            # NaN fails the comparison, so a NaN iterate is a blow-up too, as is inf
+            if not res <= limit or res == math.inf:
                 raise Divergence(f"stage iterates diverged at h={h}")
         raise NonConvergence(
             f"stage residual {res:.3e} > {tol:.3e} after {cfg.max_stage_iters} iterations (h={h})"
@@ -172,6 +175,21 @@ def solve_stages(A: np.ndarray, sys: HamiltonianSystem, y: np.ndarray,
     except IntegrationError as exc:
         exc.sweeps = it  # for a caller that goes on and counts its work
         raise
+
+
+@functools.lru_cache(maxsize=1)
+def _layout(k: int, doubling: bool, b: bytes) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """Read-only (A, weights, links, scales) of _stack's shape; A's diagonal blocks are 0."""
+    b = np.frombuffer(b)
+    # links are within one chain: an attempt's two half-steps, or a window's steps
+    first, c = (1, 0.5) if doubling else (0, 1.0)
+    scales, links = (1.0,) * first + (c,) * (k - first), tuple(range(first + 1, k))
+    A = np.zeros((k, len(b), k, len(b)))  # A[i, :, j] is block (i, j)
+    for i in links:
+        A[i, :, first:i] = c * b
+    weights = np.multiply.outer(scales, b)[:, None]
+    A.setflags(write=False), weights.setflags(write=False)
+    return A, weights, links, scales
 
 
 def _stack(tabs, doubling: bool = False) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -182,31 +200,24 @@ def _stack(tabs, doubling: bool = False) -> tuple[np.ndarray, np.ndarray, list[i
     the full step, c = 1, and the two half-steps, c = 1/2.  Step i of a
     chain starts from the chain's start plus the increments of the steps
     before it, so its block row is c [1 b^T, ..., 1 b^T, A_i, 0, ...] and its
-    weights are c b; b comes back as the (steps, 1, n) block weights, and
-    links lists the steps that go on from the step before.
+    weights are c b; b comes back as the read-only (steps, 1, n) weights, and
+    links lists the steps that go on from the step before.  A call copies the
+    layout its shape fixes, kept for the last shape, and writes the blocks c A_i.
     """
-    chains = [(tabs[:1], 1.0), (tabs[1:], 0.5)] if doubling else [(tabs, 1.0)]
-    b, k, n = tabs[0].b, len(tabs), len(tabs[0].b)
-    # A[i, :, j] is block (i, j)
-    A, scale, links, first = np.zeros((k, n, k, n)), [], [], 0
-    for chain, c in chains:
-        for i, tab in enumerate(chain, first):
-            if i > first:  # an empty assignment is still a NumPy call
-                A[i, :, first:i] = b
-            A[i, :, i] = tab.A
-        if c != 1.0:
-            A[first:first + len(chain)] *= c
-        scale += [c] * len(chain)
-        links += range(first + 1, first + len(chain))
-        first += len(chain)
-    return A.reshape(k * n, k * n), np.multiply.outer(scale, b)[:, None], links
+    k, n = len(tabs), len(tabs[0].b)
+    layout, b, links, scales = _layout(k, doubling, tabs[0].b.tobytes())
+    A = layout.copy()
+    for i, (tab, c) in enumerate(zip(tabs, scales)):
+        A[i, :, i] = tab.A if c == 1.0 else c * tab.A
+    return A.reshape(k * n, k * n), b, list(links)
 
 
 def _evaluate(A: np.ndarray, b: np.ndarray, links, sys: HamiltonianSystem, y: np.ndarray,
               h: float, cfg: SolverConfig, Y0: np.ndarray | None = None, matrices=None):
     """(states, stages, iterations) of _stack's (A, b, links) from y, one state per step.
 
-    Block i's increment is h b_i^T (P, force(Q)).  The states are checked here
+    Block i's increment is h b_i^T (P, force(Q)), and one np.add.accumulate sums
+    the chain of linked steps as rk_step would.  The states are checked here
     alone: a non-finite one is a Divergence, and any failure carries its sweeps as ``sweeps``.
     """
     Y, iters = solve_stages(A, sys, y, h, cfg, Y0, matrices)
@@ -214,8 +225,10 @@ def _evaluate(A: np.ndarray, b: np.ndarray, links, sys: HamiltonianSystem, y: np
         F = np.concatenate([Y[:, sys.half_dim:], canonical_field(sys, Y)], axis=1)
         dy = h * (b @ F.reshape(len(b), b.shape[-1], -1))[:, 0]
         states = y + dy
-        for i in links:  # as rk_step adds them, a step goes on from the state before
-            states[i] = states[i - 1] + dy[i]
+        if links:  # one chain, from the step before the first link to the last step
+            chain = slice(links[0] - 1, None)
+            dy[chain.start] = states[chain.start]
+            np.add.accumulate(dy[chain], out=states[chain])
         if not np.isfinite(states).all():
             raise Divergence(f"non-finite step result at h={h}")
     except Divergence as exc:

@@ -174,9 +174,15 @@ def build_hbvm(k: int, s: int) -> ButcherTableau:
     return build_tableau(MethodSpec("hbvm", s, k))
 
 
+@functools.lru_cache(maxsize=None)
+def _equip_spec(s: int) -> MethodSpec:
+    return MethodSpec("equip", s)
+
+
 def build_equip_tableau(s: int, alpha: float) -> ButcherTableau:
     """EQUIP tableau on s >= 2 Gauss nodes; alpha = 0 reduces to the Gauss method."""
-    return build_tableau(MethodSpec("equip", s), alpha)
+    # an int s has its MethodSpec made once; any other s, say 3.0 or [3], raises in MethodSpec
+    return build_tableau(_equip_spec(s) if type(s) is int else MethodSpec("equip", s), alpha)
 
 
 def symplecticity_residual(t: ButcherTableau) -> float:

@@ -411,6 +411,15 @@ def test_build_tableau_rejects_a_non_finite_alpha(s, alpha):
         build_equip_tableau(s, alpha)
 
 
+def test_build_equip_tableau_checks_s_after_its_spec_is_kept():
+    # the MethodSpec of an int s is made once, and a 3.0, which compares and
+    # hashes equal to 3, or an s that cannot be hashed is still rejected by it
+    assert build_equip_tableau(3, 0.1).spec is build_equip_tableau(3, 0.2).spec
+    for s in (3.0, [3], np.array(3), True):
+        with pytest.raises(ValueError):
+            build_equip_tableau(s, 0.1)
+
+
 def test_format_tableau_shape():
     text = format_tableau(build_gauss(2))
     lines = text.splitlines()
